@@ -187,7 +187,3 @@ def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8, max_rounds=48):
         rtol,
     )
 
-
-def zonal_abs_mean(dim, zcoeffs, rtol=1e-8):
-    """Normalized surface integral of |G| for a zonal series G."""
-    return zonal_abs_power_mean(dim, zcoeffs, 1.0, rtol=rtol)

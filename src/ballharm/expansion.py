@@ -70,7 +70,7 @@ def _as_unit_vector(pole, dim):
     if pole.shape != (dim,):
         raise DomainError(f"pole must be a vector of length {dim}")
     norm = float(np.linalg.norm(pole))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # also rejects a NaN pole
         raise DomainError(f"pole must be a unit vector, |pole| = {norm!r}")
     pole = pole.copy()
     pole.flags.writeable = False
@@ -83,6 +83,8 @@ def _validate_blocks(dim, kind, coeffs):
         arr = np.asarray(coeffs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("zonal coefficients must be a nonempty flat sequence")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("zonal coefficients must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
         return arr
@@ -99,6 +101,8 @@ def _validate_blocks(dim, kind, coeffs):
                 raise DomainError(
                     f"block {k} has length {arr.size}, expected d_{k} = {d_k}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"block {k} has non-finite coefficients")
             arr = arr.copy()
             arr.flags.writeable = False
             blocks.append(arr)
@@ -400,6 +404,35 @@ def _kernel_log_terms(kind, n, m, kmax, r):
     return logs
 
 
+def _truncation_degree(log_terms, n, r, growth, log_tol, relative, cap):
+    """First K whose geometric bound on the terms after K is below
+    exp(log_tol), or below that fraction of the peak term when relative;
+    None once the search has passed the degree cap.
+
+    log_terms(kmax) gives the log term sizes for k = 0..kmax.  The ratio
+    r (1 + growth/(k + 1 + n/2)) (1 + (n - 1)/(k + 1)) dominates every
+    later term ratio, so once it is safely below 1 the tail is at most the
+    first omitted term over (1 - ratio).  Past that point the terms fall,
+    so the peak is already inside the window at the first hit and K does
+    not depend on the starting window.
+    """
+    kmax = 64
+    while True:
+        logs = log_terms(kmax)
+        k = np.arange(kmax, dtype=float)  # candidate K values 0..kmax-1
+        ratio = r * (1.0 + growth / (k + 1.0 + n / 2.0)) * (1.0 + (n - 1.0) / (k + 1.0))
+        usable = ratio < 1.0 - 0.25 * (1.0 - r)
+        threshold = log_tol + logs.max() if relative else log_tol
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = usable & (logs[1:] - np.log1p(-np.where(usable, ratio, 0.5)) < threshold)
+        hits = np.nonzero(ok)[0]
+        if hits.size:
+            return int(hits[0])
+        if kmax >= cap:
+            return None
+        kmax *= 2
+
+
 def tail_degree(kind, n, r_max, tol, m=None):
     """Smallest K whose guaranteed tail bound is below tol.
 
@@ -419,27 +452,18 @@ def tail_degree(kind, n, r_max, tol, m=None):
             raise DomainError("q_kernel tail degree requires an order m > -1")
         growth = m + 1.0
     elif kind == "poisson":
-        growth = 0.0
+        m, growth = 0.0, 0.0
     else:
         raise DomainError(f"unknown kernel kind {kind!r}")
-
-    kmax = 64
-    log_tol = math.log(tol)
-    while True:
-        logs = _kernel_log_terms(kind, n, m if kind == "q_kernel" else 0.0, kmax, r_max)
-        k = np.arange(kmax, dtype=float)  # candidate K values 0..kmax-1
-        ratio = r_max * (1.0 + growth / (k + 1.0 + n / 2.0)) * (1.0 + (n - 1.0) / (k + 1.0))
-        usable = ratio < 1.0 - 0.25 * (1.0 - r_max)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound_ok = usable & (logs[1:] - np.log1p(-np.where(usable, ratio, 0.5)) < log_tol)
-        hits = np.nonzero(bound_ok)[0]
-        if hits.size:
-            return int(hits[0])
-        if kmax > 4_000_000:
-            raise DomainError(
-                f"tail bound cannot reach tol={tol:g} at r_max={r_max:g} within supported degrees"
-            )
-        kmax *= 2
+    K = _truncation_degree(
+        lambda kmax: _kernel_log_terms(kind, n, m, kmax, r_max),
+        n, r_max, growth, math.log(tol), relative=False, cap=4_000_000,
+    )
+    if K is None:
+        raise DomainError(
+            f"tail bound cannot reach tol={tol:g} at r_max={r_max:g} within supported degrees"
+        )
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from scipy.special import gammaln, roots_legendre
 
 from .errors import AccuracyError, DomainError, UsageError
-from .expansion import HarmonicExpansion, convolve, evaluate, frac_derivative, sph_dim
-from .quadrature import sphere_rule
+from .expansion import HarmonicExpansion, evaluate, frac_derivative, sph_dim
+from .multipliers import DEFAULT_SEED, _family_ones, _fit_window, _growth_integral
+from .quadrature import _settle_by_doubling, radial_rule, sphere_rule
 from .specfun import _log_lambda_coeff
 from ._zonalseries import zonal_abs_power_mean, zonal_series_values
 
@@ -49,8 +50,6 @@ __all__ = [
     "check_lemma5",
     "check_lemma6",
 ]
-
-DEFAULT_SEED = 1789
 
 
 @dataclass(frozen=True)
@@ -76,25 +75,6 @@ class LemmaReport:
 def _gauss01(N):
     x, w = roots_legendre(N)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _jacobi01(N, s):
-    """Rule for int_0^1 (1-r)^s phi(r) dr."""
-    x, w = roots_jacobi(N, s, 0.0)
-    return 0.5 * (x + 1.0), w * 2.0 ** (-(s + 1.0))
-
-
-def _settled_integral(build, start_N, rtol=1e-11, max_doublings=5, what="integral"):
-    """Evaluate build(N) with N doubling until two levels agree."""
-    prev = None
-    N = start_N
-    for _ in range(max_doublings + 1):
-        cur = build(N)
-        if prev is not None and abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return cur
-        prev, last_prev = cur, prev
-        N *= 2
-    raise AccuracyError(f"{what} did not settle", last_prev, cur, rtol)
 
 
 def _random_full(n, degree, rng):
@@ -195,8 +175,6 @@ def check_lemma1(n, beta, grid=None, slack=1.05):
     margin = float(np.max(lhs_f / np.maximum(c1 * t1_f + c2 * t2_f, 1e-300)))
 
     # integrated consequence: growth exponent of int |Q_beta| in 1/(1 - s)
-    from .multipliers import _family_ones, _growth_integral
-
     js = np.arange(2.0, 8.5, 1.0)
     svals = 1.0 - 2.0 ** (-js)
     ones = _family_ones()
@@ -243,18 +221,16 @@ def check_lemma2(alpha, lam, rho_grid=None, slope_tol=0.05):
 
     def F(rho):
         def level(N):
-            r, w = _jacobi01(N, alpha)
-            return math.fsum(w * (1.0 - r * rho) ** (-lam))
+            rule = radial_rule(alpha, N)
+            return math.fsum(rule.weights * (1.0 - rule.nodes * rho) ** (-lam))
 
-        return _settled_integral(level, 256, rtol=1e-10, what="lemma 2 integral")
+        return _settle_by_doubling(level, 256, 1e-10, 6, "lemma 2 integral")
 
     vals = np.array([F(rho) for rho in rho_grid])
     eps = 1.0 - rho_grid
     # asymptotic rate: fit the deepest half of the grid, where the
     # O(eps^(lam - alpha - 1)) transient has decayed (same window rule as
     # the multiplier growth fits)
-    from .multipliers import _fit_window
-
     slope = -_fit_window(list(-np.log(eps)), list(np.log(vals)))
     expected = alpha - lam + 1.0
     compensated = vals * eps ** (lam - alpha - 1.0)
@@ -410,19 +386,21 @@ def check_lemma5(
 
     def lhs(x):
         def level(N):
-            s, w = _jacobi01(N, beta)
+            rule = radial_rule(beta, N)
+            s = rule.nodes
             vals = mean_p(s) / (1.0 - x * s) ** (beta + 1.0) * s ** (n - 1)
-            return float((w * vals).sum())
+            return float((rule.weights * vals).sum())
 
-        return _settled_integral(level, 64, rtol=1e-9, what="lemma 5 lhs") ** q
+        return _settle_by_doubling(level, 64, 1e-9, 6, "lemma 5 lhs") ** q
 
     def rhs(x):
         def level(N):
-            s, w = _jacobi01(N, beta * q + q - 1.0)
+            rule = radial_rule(beta * q + q - 1.0, N)
+            s = rule.nodes
             vals = mean_p(s) ** q / (1.0 - x * s) ** ((beta + 1.0) * q) * s ** (n - 1)
-            return float((w * vals).sum())
+            return float((rule.weights * vals).sum())
 
-        return _settled_integral(level, 64, rtol=1e-9, what="lemma 5 rhs")
+        return _settle_by_doubling(level, 64, 1e-9, 6, "lemma 5 rhs")
 
     xs = 1.0 - 2.0 ** (-x_levels)
     ratios = np.array([lhs(x) / rhs(x) for x in xs])

@@ -33,15 +33,19 @@ probes and grids are deterministic given the seed.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_jacobi
 
 from .errors import AccuracyError, DomainError, UsageError
-from .expansion import HarmonicExpansion, MultiplierSequence, _basis_matrix
+from .expansion import (
+    HarmonicExpansion,
+    MultiplierSequence,
+    _basis_matrix,
+    _truncation_degree,
+)
+from .quadrature import _settle_by_doubling, radial_rule, sphere_rule
 from .specfun import _log_lambda_coeff, _sph_dim_array
 from ._zonalseries import zonal_abs_power_mean
 
@@ -65,6 +69,9 @@ PROBE_SLOPE_UNBOUNDED = 0.05
 
 _SERIES_DEGREE_CAP = 500_000
 
+# seed of every seeded probe, lemma suite and selftest unless one is given
+DEFAULT_SEED = 1789
+
 
 @dataclass(frozen=True)
 class TheoremParams:
@@ -81,6 +88,11 @@ class TheoremParams:
     dim: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p, self.alpha, self.beta, self.m))):
+            raise DomainError(
+                f"p, alpha, beta and m must be finite, got p={self.p}, "
+                f"alpha={self.alpha}, beta={self.beta}, m={self.m}"
+            )
         if not 0.0 < self.p <= 1.0:
             raise DomainError(f"requires 0 < p <= 1, got p = {self.p}")
         if not 0.0 < self.alpha < 1.0:
@@ -94,12 +106,6 @@ class TheoremParams:
             )
         if self.dim < 2:
             raise DomainError(f"dim must be >= 2, got {self.dim}")
-        if self.m <= self.p * (self.alpha - 1.0):  # pragma: no cover - implied by above
-            warnings.warn(
-                "m does not exceed p*(alpha - 1); outside the window used "
-                "by the necessity argument",
-                stacklevel=2,
-            )
 
     @property
     def phi_weight_exponent(self):
@@ -215,35 +221,28 @@ def _series_degree(n, m, family, s, rel_tol=1e-7):
         return int(family.finite_degree)
     if s <= 0.0:
         return 0
-    kmax = 128
-    while True:
+
+    def log_terms(kmax):
         k = np.arange(kmax + 1, dtype=float)
-        logs = (
+        return (
             _log_lambda_coeff(n, k, m)
             + np.log(np.maximum(np.abs(family.values(kmax)), 1e-300))
             + np.log(_sph_dim_array(n, kmax))
             + k * math.log(s)
         )
-        peak = logs.max()
-        kk = k[:-1]
-        ratio = s * (1.0 + (m + 1.0) / (kk + 1.0 + n / 2.0)) * (1.0 + (n - 1.0) / (kk + 1.0))
-        usable = ratio < 1.0 - 0.25 * (1.0 - s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = usable & (
-                logs[1:] - np.log1p(-np.where(usable, ratio, 0.5)) < peak + math.log(rel_tol)
-            )
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return int(hits[0])
-        if kmax >= _SERIES_DEGREE_CAP:
-            raise AccuracyError(
-                f"series truncation cannot reach rel_tol={rel_tol:g} at s={s:g} "
-                f"within the degree cap {_SERIES_DEGREE_CAP}",
-                float("nan"),
-                float("nan"),
-                rel_tol,
-            )
-        kmax *= 2
+
+    K = _truncation_degree(
+        log_terms, n, s, m + 1.0, math.log(rel_tol), relative=True, cap=_SERIES_DEGREE_CAP
+    )
+    if K is None:
+        raise AccuracyError(
+            f"series truncation cannot reach rel_tol={rel_tol:g} at s={s:g} "
+            f"within the degree cap {_SERIES_DEGREE_CAP}",
+            float("nan"),
+            float("nan"),
+            rel_tol,
+        )
+    return K
 
 
 def _growth_integral(n, m, family, s, rtol=1e-7):
@@ -387,8 +386,6 @@ def _direction_design(dim, count):
 
 def _full_condition2_integral(g, params, rho, direction, resolution):
     """I(rho, y') for a full-kind multiplier by spherical quadrature."""
-    from .quadrature import sphere_rule
-
     blocks = g.values if isinstance(g, MultiplierSequence) else g.coeffs
     K = len(blocks) - 1
     if resolution is None:
@@ -521,22 +518,16 @@ class ProbeReport:
 def _radial_power_norm(profile, p, weight_exp, n, start_N=96, rtol=1e-6):
     """( int_0^1 profile(r)^p (1-r)^weight_exp r^(n-1) dr )^(1/p).
 
-    profile is vector-valued over radii.  Doubles the Jacobi rule until
-    two consecutive levels agree.
+    profile is vector-valued over radii.  Doubles the Jacobi rule, five
+    levels from start_N, until two consecutive levels agree.
     """
-    prev = None
-    N = start_N
-    while N <= 16 * start_N:
-        x, w = roots_jacobi(N, weight_exp, 0.0)
-        r = 0.5 * (x + 1.0)
-        wr = w * 2.0 ** (-(weight_exp + 1.0))
-        vals = profile(r)
-        cur = float((wr * vals**p * r ** (n - 1)).sum()) ** (1.0 / p)
-        if prev is not None and abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-        N *= 2
-    raise AccuracyError("probe norm quadrature did not settle", prev, cur, rtol)
+
+    def level(N):
+        rule = radial_rule(weight_exp, N)
+        r = rule.nodes
+        return float((rule.weights * profile(r) ** p * r ** (n - 1)).sum()) ** (1.0 / p)
+
+    return _settle_by_doubling(level, start_N, rtol, 5, "probe norm quadrature")
 
 
 def _zonal_sequence_mean_profile(n, zcoeffs, radii, rtol=1e-8):
@@ -548,7 +539,7 @@ def _zonal_sequence_mean_profile(n, zcoeffs, radii, rtol=1e-8):
     return out
 
 
-def probe_operator_norm(c, params, family="qm_kernels", sizes=None, seed=1789):
+def probe_operator_norm(c, params, family="qm_kernels", sizes=None, seed=DEFAULT_SEED):
     """Lower-bound the multiplier operator norm with probe functions.
 
     qm_kernels: probes are Bergman kernels of order m anchored at boundary

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import AccuracyError, DomainError
-from .expansion import _basis_matrix
-from ._zonalseries import zonal_abs_power_mean, zonal_series_values
+from .expansion import evaluate
+from ._zonalseries import zonal_abs_power_mean
 
 __all__ = [
     "QuadratureRule",
@@ -42,10 +42,13 @@ __all__ = [
     "mixed_norm",
 ]
 
+# relative tolerance of the two-level check on every mixed norm
+NORM_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes, positive weights, a domain tag, and the exactness degree.
+    """Nodes, positive weights and a domain tag.
 
     Radial rules: nodes are radii in (0, 1), domain_tag = ("radial", s);
     the weights sum to 1/(s+1).  Spherical rules: nodes are unit vectors,
@@ -55,7 +58,6 @@ class QuadratureRule:
     nodes: object
     weights: object
     domain_tag: tuple
-    exactness: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -82,7 +84,26 @@ def radial_rule(s, N):
     x, w = roots_jacobi(N, s, 0.0)
     r = 0.5 * (x + 1.0)
     weights = w * 2.0 ** (-(s + 1.0))
-    return QuadratureRule(r, weights, ("radial", float(s)), 2 * N - 1)
+    return QuadratureRule(r, weights, ("radial", float(s)))
+
+
+def _levels_agree(coarse, fine, rtol):
+    """True when two refinement levels agree to relative tolerance rtol."""
+    return abs(fine - coarse) <= rtol * max(abs(fine), 1e-300)
+
+
+def _settle_by_doubling(level, start_N, rtol, levels, what):
+    """level(N) for N = start_N, 2 start_N, ... until two consecutive values
+    agree to rtol; after ``levels`` values, AccuracyError carrying the last
+    two."""
+    coarse = fine = None
+    N = start_N
+    for _ in range(levels):
+        coarse, fine = fine, level(N)
+        if coarse is not None and _levels_agree(coarse, fine, rtol):
+            return fine
+        N *= 2
+    raise AccuracyError(f"{what} did not settle", coarse, fine, rtol)
 
 
 def _polar_rule(weight_power, npts):
@@ -106,7 +127,7 @@ def sphere_rule(n, resolution):
         theta = 2.0 * math.pi * np.arange(M) / M
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(M, 1.0 / M)
-        return QuadratureRule(nodes, weights, ("sphere", 2), resolution)
+        return QuadratureRule(nodes, weights, ("sphere", 2))
     # polar cosine t: x = (sqrt(1-t^2) * y, t) with y on the sphere in R^(n-1)
     npolar = (resolution + 2) // 2
     t, wt = _polar_rule(n - 3, npolar)
@@ -121,7 +142,7 @@ def sphere_rule(n, resolution):
     ).reshape(-1, n)
     weights = (wt[:, None] * sub.weights[None, :]).reshape(-1)
     weights = weights / weights.sum()
-    return QuadratureRule(nodes, weights, ("sphere", n), resolution)
+    return QuadratureRule(nodes, weights, ("sphere", n))
 
 
 def zonal_sphere_integral(n, phi, resolution):
@@ -158,6 +179,10 @@ class SpaceParams:
     convention: str = "definition"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p, self.q, self.alpha))):
+            raise DomainError(
+                f"p, q and alpha must be finite, got p={self.p}, q={self.q}, alpha={self.alpha}"
+            )
         if self.p <= 0 or self.q <= 0:
             raise DomainError(f"p and q must be positive, got p={self.p}, q={self.q}")
         if self.convention == "definition":
@@ -206,8 +231,6 @@ def mean_norm(f, q, r, rule):
         raise DomainError(
             f"rule domain {rule.domain_tag} does not match an expansion in dim {f.dim}"
         )
-    from .expansion import evaluate
-
     if q == math.inf:
         vals = np.abs(evaluate(f, r, rule.nodes))
         return float(vals.max())
@@ -242,7 +265,14 @@ def _mixed_norm_levels(f, params, radial_N, sphere_res):
     return level(radial_N, sphere_res), level(2 * radial_N, 2 * sphere_res)
 
 
-def mixed_norm(f, params, radial_N=48, sphere_res=None, accuracy_rtol=1e-8):
+def _checked_norm_levels(coarse, fine, rtol=NORM_RTOL):
+    """The fine mixed-norm level, once it agrees with the coarse one."""
+    if not _levels_agree(coarse, fine, rtol):
+        raise AccuracyError("mixed norm refinement disagreement", coarse, fine, rtol)
+    return fine
+
+
+def mixed_norm(f, params, radial_N=48, sphere_res=None, accuracy_rtol=NORM_RTOL):
     """Mixed norm of the expansion under the given space parameters.
 
     Computed at two refinement levels (doubling both the radial rule and
@@ -256,6 +286,4 @@ def mixed_norm(f, params, radial_N=48, sphere_res=None, accuracy_rtol=1e-8):
     if sphere_res is None:
         sphere_res = max(2 * f.max_degree + 2, 8)
     coarse, fine = _mixed_norm_levels(f, params, radial_N, sphere_res)
-    if abs(fine - coarse) > accuracy_rtol * max(abs(fine), 1e-300):
-        raise AccuracyError("mixed norm refinement disagreement", coarse, fine, accuracy_rtol)
-    return fine
+    return _checked_norm_levels(coarse, fine, accuracy_rtol)

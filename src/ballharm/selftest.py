@@ -26,16 +26,14 @@ from .lemmas import (
     check_lemma6,
 )
 from .multipliers import (
+    DEFAULT_SEED,
     TheoremParams,
     condition2_sup,
     equivalence_verdict,
-    multiplier_family,
     probe_operator_norm,
 )
 from .quadrature import mean_norm, sphere_rule
 from ._zonalseries import zonal_series_values
-
-DEFAULT_SEED = 1789
 
 
 def criterion_lemma4(fast=False, seed=DEFAULT_SEED):

@@ -1,12 +1,14 @@
 """Scalar special functions for spherical-harmonic series on the unit ball.
 
-Everything here reduces to log-Gamma arithmetic and the ultraspherical
-three-term recurrence:
+Everything here reduces to log-Gamma arithmetic and the normalized
+ultraspherical three-term recurrence, which lives in ``_zonalseries``
+(its ``_series_sum_numpy``; the numba kernel there is its compiled twin):
 
 * ``log_gamma`` / ``gamma_ratio``  -- Gamma ratios evaluated in log space so
   that quantities like Gamma(k + n/2 + m + 1) / Gamma(k + n/2) stay finite
   far beyond the direct-overflow point near 171.
-* ``gegenbauer``                   -- ultraspherical polynomials C_k^lam(t).
+* ``gegenbauer``                   -- ultraspherical polynomials C_k^lam(t),
+  the normalized recurrence times C_k^lam(1), at any degree.
 * ``sph_dim``                      -- dimension d_k of the degree-k spherical
   harmonics on the unit sphere in R^n.
 * ``zonal``                        -- the degree-k zonal harmonic through its
@@ -21,16 +23,12 @@ All functions are pure and accept either scalars or numpy arrays in their
 "mathematical" argument; scalars in, scalars out.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import binom, gammaln
 
 from .errors import DomainError
 
 __all__ = [
-    "GammaRatio",
-    "ZonalEvalParams",
     "log_gamma",
     "gamma_ratio",
     "gegenbauer",
@@ -55,72 +53,29 @@ def gamma_ratio(a, b):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class GammaRatio:
-    """A ratio Gamma(a)/Gamma(b) kept in log form.
-
-    Useful when ratios are chained or compared at arguments large enough
-    that the ratio itself overflows.
-    """
-
-    numerator_arg: float
-    denominator_arg: float
-    log_value: float
-
-    @classmethod
-    def of(cls, a, b):
-        if a <= 0.0 or b <= 0.0:
-            raise DomainError("GammaRatio requires positive arguments")
-        return cls(float(a), float(b), float(gammaln(a) - gammaln(b)))
-
-    @property
-    def value(self):
-        return float(np.exp(self.log_value))
-
-
-@dataclass(frozen=True)
-class ZonalEvalParams:
-    """Validated (dim, degree, cosine) triple for a zonal harmonic value."""
-
-    dim: int
-    degree: int
-    cosine: float
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise DomainError(f"dim must be >= 2, got {self.dim}")
-        if self.degree < 0:
-            raise DomainError(f"degree must be >= 0, got {self.degree}")
-        if abs(self.cosine) > 1.0 + 1e-14:
-            raise DomainError(f"cosine must lie in [-1, 1], got {self.cosine}")
-
-
 def gegenbauer(k, lam, t):
-    """Ultraspherical polynomial C_k^lam(t) by the forward recurrence.
+    """Ultraspherical polynomial C_k^lam(t).
 
-    C_0 = 1, C_1 = 2*lam*t, and
-    k C_k = 2 t (k + lam - 1) C_{k-1} - (k + 2*lam - 2) C_{k-2}.
+    The normalized recurrence of ``_zonalseries`` gives
+    u_k = C_k^lam(t) / C_k^lam(1), which is rescaled by
+    C_k^lam(1) = Gamma(k + 2*lam) / (Gamma(2*lam) k!) = binom(k + 2*lam - 1, k).
 
     Requires lam > -1/2, lam != 0 (the degenerate lam = 0 limit is handled
-    by `zonal` for dimension 2), |t| <= 1, and k <= 500; the forward
-    recurrence is well conditioned on [-1, 1] for the degrees used here.
+    by `zonal` for dimension 2) and |t| <= 1.
     """
+    from ._zonalseries import _series_sum_numpy
+
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
-    if k > 500:
-        raise DomainError("gegenbauer supports degrees up to 500")
     if lam <= -0.5 or lam == 0.0:
         raise DomainError(f"lambda must be > -1/2 and nonzero, got {lam}")
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-14):
         raise DomainError("gegenbauer requires |t| <= 1")
-    c_prev = np.ones_like(t)
-    if k == 0:
-        return float(c_prev) if c_prev.ndim == 0 else c_prev
-    c = 2.0 * lam * t
-    for j in range(2, k + 1):
-        c, c_prev = (2.0 * t * (j + lam - 1.0) * c - (j + 2.0 * lam - 2.0) * c_prev) / j, c
-    return float(c) if c.ndim == 0 else c
+    w = np.zeros(k + 1)
+    w[k] = binom(k + 2.0 * lam - 1.0, k)
+    out = _series_sum_numpy(w, lam, np.atleast_1d(t)).reshape(t.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def sph_dim(n, k):
@@ -163,8 +118,11 @@ def zonal(n, k, t):
     sum_j y_j(x') y_j(y') over an orthonormal basis (normalized surface
     measure) of the degree-k space.  For n >= 3 this equals
     d_k * C_k^lam(t) / C_k^lam(1) with lam = (n-2)/2; for n = 2 it is
-    1 for k = 0 and 2 cos(k arccos t) otherwise.
+    1 for k = 0 and 2 cos(k arccos t) otherwise.  Evaluated as the
+    one-term series of ``zonal_series_values``.
     """
+    from ._zonalseries import zonal_series_values
+
     if n < 2:
         raise DomainError(f"dim must be >= 2, got {n}")
     if k < 0:
@@ -172,28 +130,10 @@ def zonal(n, k, t):
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-14):
         raise DomainError("zonal requires |t| <= 1")
-    t = np.clip(t, -1.0, 1.0)
-    d_k = float(sph_dim(n, k))
-    out = d_k * _normalized_gegenbauer(n, k, t)
-    return float(out) if out.ndim == 0 else out
-
-
-def _normalized_gegenbauer(n, k, t):
-    """u_k(t) = C_k^lam(t)/C_k^lam(1), lam = (n-2)/2, valid for all n >= 2.
-
-    Runs the recurrence in normalized form, so every intermediate lies in
-    [-1, 1]; for n = 2 it degenerates to the Chebyshev polynomials, which
-    matches the 2 cos(k theta) convention after multiplying by d_k.
-    """
-    t = np.asarray(t, dtype=float)
-    lam = (n - 2) / 2.0
-    u_prev = np.ones_like(t)
-    if k == 0:
-        return u_prev
-    u = t.copy()
-    for j in range(2, k + 1):
-        u, u_prev = (2.0 * t * (j + lam - 1.0) * u - (j - 1.0) * u_prev) / (j + 2.0 * lam - 1.0), u
-    return u
+    onehot = np.zeros(k + 1)
+    onehot[k] = 1.0
+    out = zonal_series_values(n, onehot, np.ravel(t))
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def lambda_coeff(n, k, m):

@@ -49,6 +49,21 @@ def test_norm_malformed_block_exits_2(tmp_path, capsys):
     assert "block 1" in err and "d_1 = 2" in err
 
 
+def test_norm_nan_coefficient_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"dim": 3, "kind": "zonal", "pole": [0.0, 0.0, 1.0], "coeffs": [1.0, NaN]}')
+    assert main(["norm", "--input", str(bad)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_mult_check_infinite_multiplier_exits_2(tmp_path, capsys):
+    bad = tmp_path / "inf.json"
+    bad.write_text('{"dim": 3, "kind": "zonal", "coeffs": [1.0, Infinity, 0.5]}')
+    code = main(["mult-check", "--alpha", "0.5", "--beta", "0.25", "--multiplier", str(bad)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_norm_missing_file_exits_2(tmp_path):
     assert main(["norm", "--input", str(tmp_path / "nope.json")]) == 2
 

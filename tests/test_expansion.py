@@ -60,6 +60,18 @@ def test_zonal_requires_unit_pole():
         HarmonicExpansion(3, "zonal", [1.0], pole=[0.0, 0.0, 1.5])
     # tolerance 1e-12 on the pole norm
     HarmonicExpansion(3, "zonal", [1.0], pole=[0.0, 0.0, 1.0 + 1e-13])
+    with pytest.raises(DomainError, match="unit vector"):
+        HarmonicExpansion(3, "zonal", [1.0], pole=[0.0, 0.0, math.nan])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        HarmonicExpansion(3, "zonal", [1.0, bad], pole=E3)
+    with pytest.raises(DomainError, match="block 1 has non-finite"):
+        HarmonicExpansion(2, "full", [[1.0], [0.5, bad]])
+    with pytest.raises(DomainError, match="finite"):
+        MultiplierSequence(3, "zonal", [1.0, bad])
 
 
 def test_degree_cap_enforced():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ballharm import (
+    AccuracyError,
     DomainError,
     MultiplierSequence,
     TheoremParams,
@@ -41,6 +42,18 @@ def test_theorem_params_validation():
     TheoremParams(p=0.25, alpha=0.5, beta=0.5, m=3.5, dim=3)
 
 
+@pytest.mark.parametrize(
+    "field,bad",
+    [("beta", math.nan), ("beta", math.inf), ("m", math.nan), ("m", math.inf),
+     ("alpha", math.nan), ("p", math.nan)],
+)
+def test_theorem_params_reject_non_finite(field, bad):
+    values = dict(p=1.0, alpha=0.5, beta=0.25, m=2.0, dim=3)
+    values[field] = bad
+    with pytest.raises(DomainError, match="finite"):
+        TheoremParams(**values)
+
+
 def test_family_parsing():
     assert multiplier_family("ones").values(3).tolist() == [1, 1, 1, 1]
     pl = multiplier_family("powerlaw:0.5")
@@ -56,6 +69,33 @@ def test_family_parsing():
 # ---------------------------------------------------------------------------
 # the growth integral
 # ---------------------------------------------------------------------------
+
+
+class _DegreeSeen(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "family,j,expected",
+    [("ones", 8, 12569), ("ones", 10, 54908),
+     ("powerlaw:0.5", 8, 12215), ("powerlaw:0.5", 10, 53453)],
+)
+def test_growth_integral_series_degree_pinned(monkeypatch, family, j, expected):
+    # the truncation degree I(s) asks for at its own tolerance, n = 3, m = 2;
+    # the search stops there instead of summing the series
+    from ballharm import multipliers
+
+    real = multipliers._series_degree
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        raise _DegreeSeen
+
+    monkeypatch.setattr(multipliers, "_series_degree", spy)
+    with pytest.raises(_DegreeSeen):
+        multipliers._growth_integral(3, 2.0, multiplier_family(family), 1.0 - 2.0 ** (-j))
+    assert seen == [expected]
 
 
 def test_condition2_integral_constant_multiplier():
@@ -150,6 +190,16 @@ def test_condition2_grid_validation():
         condition2_sup("ones", params_for(), j_levels=[3, 4, 15])
     with pytest.raises(DomainError):
         condition2_sup("ones", params_for(), j_levels=[5, 4, 3])
+
+
+def test_probe_norm_failure_reports_two_distinct_levels():
+    from ballharm.multipliers import _radial_power_norm
+
+    # a profile that changes with the rule size never settles
+    with pytest.raises(AccuracyError, match="probe norm quadrature did not settle") as err:
+        _radial_power_norm(lambda r: np.full(r.size, float(r.size)), 1.0, 0.0, 3)
+    assert err.value.coarse != err.value.fine
+    assert err.value.fine / err.value.coarse == pytest.approx(2.0, rel=1e-12)
 
 
 def test_probe_identity_equal_weights_flat():

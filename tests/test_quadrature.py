@@ -255,6 +255,21 @@ def test_mixed_norm_accuracy_error_carries_values():
     assert err.value.coarse != err.value.fine
 
 
+def test_settle_by_doubling_reports_last_two_levels():
+    from ballharm.quadrature import _settle_by_doubling
+
+    seen = []
+
+    def never_settles(N):
+        seen.append(float(N))
+        return float(N)
+
+    with pytest.raises(AccuracyError, match="test integral did not settle") as err:
+        _settle_by_doubling(never_settles, 8, 1e-9, 5, "test integral")
+    assert seen == [8.0, 16.0, 32.0, 64.0, 128.0]
+    assert (err.value.coarse, err.value.fine) == (64.0, 128.0)
+
+
 def test_space_params_validation():
     with pytest.raises(DomainError):
         SpaceParams(p=0.0, q=1.0, alpha=0.0)
@@ -264,3 +279,14 @@ def test_space_params_validation():
         SpaceParams(p=1.0, q=1.0, alpha=0.0, convention="theorem")
     with pytest.raises(DomainError):
         SpaceParams(p=1.0, q=1.0, alpha=0.5, convention="mystery")
+
+
+@pytest.mark.parametrize(
+    "p,q,alpha",
+    [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan),
+     (math.inf, 1.0, 0.0), (1.0, math.inf, 0.0), (1.0, 1.0, math.inf)],
+)
+def test_space_params_reject_non_finite(p, q, alpha):
+    for convention in ("definition", "theorem"):
+        with pytest.raises(DomainError, match="finite"):
+            SpaceParams(p=p, q=q, alpha=alpha, convention=convention)
