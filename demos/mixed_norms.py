@@ -53,7 +53,7 @@ print(f"  (1, 1, 0.5) of a positive zonal function: {mixed_norm(f_pos, params_t)
 
 # p = q collapses to the plain weighted p-norm
 params_pq = SpaceParams(p=2.0, q=2.0, alpha=0.5)
-from ballharm.cli import _direct_pnorm
+from ballharm.quadrature import _direct_pnorm
 
 v = mixed_norm(f3, params_pq)
 d = _direct_pnorm(f3, params_pq, 96, 32)

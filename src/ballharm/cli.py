@@ -25,7 +25,6 @@ from . import __version__, reports
 from .errors import AccuracyError, BallharmError, DomainError, UsageError
 from .expansion import (
     KernelSpec,
-    evaluate,
     load_expansion,
     load_multiplier,
     poisson,
@@ -53,11 +52,11 @@ from .quadrature import (
     NORM_RTOL,
     SpaceParams,
     _checked_norm_levels,
+    _default_sphere_res,
+    _direct_pnorm,
     _mixed_norm_levels,
-    radial_rule,
-    sphere_rule,
 )
-from ._zonalseries import zonal_abs_power_mean, zonal_series_values
+from ._zonalseries import zonal_series_values
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,7 +155,7 @@ def build_parser():
 def cmd_norm(args):
     f = load_expansion(args.input)
     params = SpaceParams(p=args.p, q=args.q, alpha=args.alpha, convention=args.convention)
-    res = args.resolution or max(2 * f.max_degree + 2, 8)
+    res = args.resolution or _default_sphere_res(f)
     coarse, value = _mixed_norm_levels(f, params, args.radial_N, res)
     _checked_norm_levels(coarse, value)
     delta = abs(value - coarse) / max(abs(value), 1e-300)
@@ -188,25 +187,6 @@ def cmd_norm(args):
     print(f"norm = {value:.12g}  ({args.convention}, p={args.p:g}, q={args.q:g}, alpha={args.alpha:g})")
     _emit(report, args.out)
     return EXIT_OK
-
-
-def _direct_pnorm(f, params, radial_N, res):
-    """Direct double-integral norm of the weighted p-space (p = q)."""
-    rule = radial_rule(params.radial_weight_exponent, radial_N)
-    if f.kind == "full":
-        srule = sphere_rule(f.dim, res)
-        total = 0.0
-        for r, w in zip(rule.nodes, rule.weights):
-            vals = np.abs(evaluate(f, r, srule.nodes)) ** params.p
-            inner = float((srule.weights * vals).sum())
-            total += w * inner * float(params.radial_extra_factor(r)) * r ** (f.dim - 1)
-    else:
-        total = 0.0
-        for r, w in zip(rule.nodes, rule.weights):
-            rk = r ** np.arange(f.max_degree + 1, dtype=float)
-            inner = zonal_abs_power_mean(f.dim, f.coeffs * rk, params.p, rtol=1e-10)
-            total += w * inner * float(params.radial_extra_factor(r)) * r ** (f.dim - 1)
-    return total ** (1.0 / params.p)
 
 
 def cmd_kernel(args):

@@ -65,16 +65,19 @@ __all__ = [
 DEGREE_CAP = 2048
 
 
-def _as_unit_vector(pole, dim):
+def _as_unit_vector(pole, dim, what="pole"):
     pole = np.asarray(pole, dtype=float)
     if pole.shape != (dim,):
-        raise DomainError(f"pole must be a vector of length {dim}")
+        raise DomainError(f"{what} must be a vector of length {dim}")
     norm = float(np.linalg.norm(pole))
     if not abs(norm - 1.0) <= 1e-12:  # also rejects a NaN pole
-        raise DomainError(f"pole must be a unit vector, |pole| = {norm!r}")
+        raise DomainError(f"{what} must be a unit vector, |{what}| = {norm!r}")
     pole = pole.copy()
     pole.flags.writeable = False
     return pole
+
+
+_SEQUENCE = (list, tuple, np.ndarray)
 
 
 def _validate_blocks(dim, kind, coeffs):
@@ -93,8 +96,12 @@ def _validate_blocks(dim, kind, coeffs):
             raise UnsupportedBasisError(
                 f"full expansions require dim in {{2, 3}}, got {dim}"
             )
+        if not isinstance(coeffs, _SEQUENCE):
+            raise DomainError("full coefficients must be a sequence of blocks")
         blocks = []
         for k, block in enumerate(coeffs):
+            if not isinstance(block, _SEQUENCE):
+                raise DomainError(f"block {k} must be a sequence of d_{k} coefficients")
             arr = np.asarray(block, dtype=float)
             d_k = sph_dim(dim, k)
             if arr.shape != (d_k,):
@@ -141,12 +148,6 @@ class HarmonicExpansion:
         if self.kind == "zonal":
             return self.coeffs.size - 1
         return len(self.coeffs) - 1
-
-    def block(self, k):
-        """Degree-k coefficients as an array (length d_k, or 1 for zonal)."""
-        if self.kind == "zonal":
-            return self.coeffs[k : k + 1]
-        return self.coeffs[k]
 
     def scaled(self, factors):
         """New expansion with block k multiplied by factors[k]."""
@@ -275,8 +276,9 @@ def _basis_matrix(dim, max_degree, points):
     )
 
 
-def _flatten_full(f):
-    return np.concatenate(f.coeffs)
+def _per_entry(blocks, per_degree):
+    """per_degree[k] repeated over the entries of block k."""
+    return np.repeat(per_degree, [b.size for b in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +308,7 @@ def evaluate(f, r, direction):
         out = zonal_series_values(f.dim, f.coeffs * rk, t)
         out = np.atleast_1d(out)
     else:
-        weights = np.concatenate(
-            [f.coeffs[k] * rk[k] for k in range(f.max_degree + 1)]
-        )
+        weights = np.concatenate(f.coeffs) * _per_entry(f.coeffs, rk)
         out = _basis_matrix(f.dim, f.max_degree, pts) @ weights
     return float(out[0]) if scalar else out
 

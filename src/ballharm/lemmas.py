@@ -32,14 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, UsageError
 from .expansion import HarmonicExpansion, evaluate, frac_derivative, sph_dim
 from .multipliers import DEFAULT_SEED, _family_ones, _fit_window, _growth_integral
-from .quadrature import _settle_by_doubling, radial_rule, sphere_rule
+from .quadrature import _settle_by_doubling, _zonal_q_means, radial_rule, sphere_rule
 from .specfun import _log_lambda_coeff
-from ._zonalseries import zonal_abs_power_mean, zonal_series_values
+from ._zonalseries import zonal_series_values
 
 __all__ = [
     "LemmaReport",
@@ -70,11 +70,6 @@ class LemmaReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-
-
-def _gauss01(N):
-    x, w = roots_legendre(N)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _random_full(n, degree, rng):
@@ -322,7 +317,8 @@ def check_lemma4(n, m, k_max=40, rel_tol=1e-10):
     (1/2) Gamma(m+1) Gamma(k+n/2) / Gamma(m+1+n/2+k) for k <= k_max."""
     if k_max > 60:
         raise UsageError("degree-exact rule sized for k_max <= 60")
-    R, w = _gauss01(m + k_max + n + 2)
+    rule = radial_rule(0.0, m + k_max + n + 2)
+    R, w = rule.nodes, rule.weights
     worst = 0.0
     for k in range(k_max + 1):
         quad = float((w * (1.0 - R**2) ** m * R ** (2 * k + n - 1)).sum())
@@ -376,19 +372,13 @@ def check_lemma5(
     else:
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(degree + 1)
-    kdeg = np.arange(degree + 1, dtype=float)
-
-    def mean_p(svals):
-        out = np.empty_like(svals)
-        for i, s in enumerate(svals):
-            out[i] = zonal_abs_power_mean(n, coeffs * s**kdeg, p, rtol=1e-10) ** (1.0 / p)
-        return out
 
     def lhs(x):
         def level(N):
             rule = radial_rule(beta, N)
             s = rule.nodes
-            vals = mean_p(s) / (1.0 - x * s) ** (beta + 1.0) * s ** (n - 1)
+            means = _zonal_q_means(n, coeffs, p, s)
+            vals = means / (1.0 - x * s) ** (beta + 1.0) * s ** (n - 1)
             return float((rule.weights * vals).sum())
 
         return _settle_by_doubling(level, 64, 1e-9, 6, "lemma 5 lhs") ** q
@@ -397,7 +387,8 @@ def check_lemma5(
         def level(N):
             rule = radial_rule(beta * q + q - 1.0, N)
             s = rule.nodes
-            vals = mean_p(s) ** q / (1.0 - x * s) ** ((beta + 1.0) * q) * s ** (n - 1)
+            means = _zonal_q_means(n, coeffs, p, s)
+            vals = means**q / (1.0 - x * s) ** ((beta + 1.0) * q) * s ** (n - 1)
             return float((rule.weights * vals).sum())
 
         return _settle_by_doubling(level, 64, 1e-9, 6, "lemma 5 rhs")
@@ -428,7 +419,8 @@ def check_lemma5(
 # ---------------------------------------------------------------------------
 
 
-def _ball_pairing_mismatch(n, m, f, g, y, r, rule, R, wR):
+def _ball_pairing_mismatch(n, m, f, g, y, r, rule, radial):
+    R, wR = radial.nodes, radial.weights
     gp = _poisson_convolution(g, y)
     left = _sphere_pairing(gp, f, r, rule)
     lam_gp = frac_derivative(gp, m)
@@ -453,13 +445,13 @@ def check_lemma6(n, f=None, g=None, r=None, direction=None, m=2, tuples=20,
             raise UsageError("explicit mode needs f, g, r and direction together")
         deg = max(f.max_degree, g.max_degree)
         rule = sphere_rule(n, 2 * deg + 4)
-        R, wR = _gauss01(deg + m + n + 2)
-        worst = _ball_pairing_mismatch(n, m, f, g, direction, r, rule, R, wR)
+        radial = radial_rule(0.0, deg + m + n + 2)
+        worst = _ball_pairing_mismatch(n, m, f, g, direction, r, rule, radial)
         grid = f"n={n}, m={m}, single explicit tuple"
     else:
         rng = np.random.default_rng(seed)
         rule = sphere_rule(n, 2 * degree + 4)
-        R, wR = _gauss01(degree + m + n + 2)
+        radial = radial_rule(0.0, degree + m + n + 2)
         worst = 0.0
         for _ in range(tuples):
             ft = _random_full(n, degree, rng)
@@ -467,7 +459,7 @@ def check_lemma6(n, f=None, g=None, r=None, direction=None, m=2, tuples=20,
             y = rng.standard_normal(n)
             y /= np.linalg.norm(y)
             rt = rng.uniform(0.2, 0.85)
-            worst = max(worst, _ball_pairing_mismatch(n, m, ft, gt, y, rt, rule, R, wR))
+            worst = max(worst, _ball_pairing_mismatch(n, m, ft, gt, y, rt, rule, radial))
         grid = f"n={n}, m={m}, {tuples} seeded tuples, degree<={degree}, seed={seed}"
     return LemmaReport(
         lemma_id=6,

@@ -42,10 +42,12 @@ from .errors import AccuracyError, DomainError, UsageError
 from .expansion import (
     HarmonicExpansion,
     MultiplierSequence,
+    _as_unit_vector,
     _basis_matrix,
+    _per_entry,
     _truncation_degree,
 )
-from .quadrature import _settle_by_doubling, radial_rule, sphere_rule
+from .quadrature import _settle_by_doubling, _zonal_power_profile, radial_rule, sphere_rule
 from .specfun import _log_lambda_coeff, _sph_dim_array
 from ._zonalseries import zonal_abs_power_mean
 
@@ -361,10 +363,9 @@ class Condition2Report:
 def _fit_window(x, y):
     """Least-squares slope over the deepest max(4, half) points."""
     npts = len(x)
-    w = max(4, npts // 2)
-    w = min(w, npts)
     if npts < 2:
-        return 0.0
+        raise DomainError(f"a growth fit needs at least two points, got {npts}")
+    w = min(max(4, npts // 2), npts)
     xs = np.asarray(x[-w:])
     ys = np.asarray(y[-w:])
     return float(np.polyfit(xs, ys, 1)[0])
@@ -384,8 +385,10 @@ def _direction_design(dim, count):
     raise DomainError("direction designs exist for dim 2 and 3 only")
 
 
-def _full_condition2_integral(g, params, rho, direction, resolution):
-    """I(rho, y') for a full-kind multiplier by spherical quadrature."""
+def _full_condition2_integrals(g, params, rhos, directions, resolution=None):
+    """I(rho, y') for a full-kind multiplier by spherical quadrature, one row
+    per rho and one column per direction.  The rule and the bases at its
+    nodes and at each direction are built once per call."""
     blocks = g.values if isinstance(g, MultiplierSequence) else g.coeffs
     K = len(blocks) - 1
     if resolution is None:
@@ -393,16 +396,18 @@ def _full_condition2_integral(g, params, rho, direction, resolution):
         # product rule converges like resolution^-2; size it generously
         resolution = max(8 * K + 64, 128)
     rule = sphere_rule(params.dim, resolution)
-    direction = np.asarray(direction, dtype=float).reshape(1, -1)
-    basis_y = _basis_matrix(params.dim, K, direction)[0]
+    node_basis = _basis_matrix(params.dim, K, rule.nodes)
+    coeffs = np.concatenate(blocks)
+    # c_k^(j) y_j^(k)(y') for each direction y'
+    weighted = [coeffs * _basis_matrix(params.dim, K, y.reshape(1, -1))[0] for y in directions]
     k = np.arange(K + 1, dtype=float)
-    gam = np.exp(_log_lambda_coeff(params.dim, k, params.m) + k * math.log(rho))
-    offsets = np.cumsum([0] + [b.size for b in blocks])
-    weights = np.concatenate(
-        [blocks[kk] * basis_y[offsets[kk] : offsets[kk + 1]] * gam[kk] for kk in range(K + 1)]
-    )
-    vals = _basis_matrix(params.dim, K, rule.nodes) @ weights
-    return float((rule.weights * np.abs(vals)).sum())
+    log_lam = _log_lambda_coeff(params.dim, k, params.m)
+    out = np.empty((len(rhos), len(weighted)))
+    for i, rho in enumerate(rhos):
+        gam = _per_entry(blocks, np.exp(log_lam + k * math.log(rho)))
+        for j, cy in enumerate(weighted):
+            out[i, j] = (rule.weights * np.abs(node_basis @ (cy * gam))).sum()
+    return out
 
 
 def condition2_integral(g, params, rho, direction=None, resolution=None, rtol=1e-7):
@@ -422,7 +427,8 @@ def condition2_integral(g, params, rho, direction=None, resolution=None, rtol=1e
         raise DomainError("full-kind multipliers are supported for dim 2 and 3")
     if direction is None:
         direction = np.eye(params.dim)[-1]
-    return _full_condition2_integral(g, params, rho, direction, resolution)
+    direction = _as_unit_vector(direction, params.dim, "direction")
+    return float(_full_condition2_integrals(g, params, [rho], [direction], resolution)[0, 0])
 
 
 def condition2_sup(g, params, j_levels=None, rtol=1e-7, direction_count=None):
@@ -436,10 +442,12 @@ def condition2_sup(g, params, j_levels=None, rtol=1e-7, direction_count=None):
     if j_levels is None:
         j_levels = list(range(3, 11))
     j_levels = [float(j) for j in j_levels]
-    if max(j_levels) > 14:
+    if len(j_levels) < 2:
+        raise DomainError(f"the growth fit needs at least two grid levels, got {j_levels}")
+    if any(b <= a for a, b in zip(j_levels, j_levels[1:])):
+        raise DomainError("grid levels must increase strictly")
+    if j_levels[-1] > 14:
         raise DomainError("grid levels beyond j = 14 exceed double-precision comfort")
-    if sorted(j_levels) != j_levels:
-        raise DomainError("grid levels must increase")
     rhos = [1.0 - 2.0 ** (-j) for j in j_levels]
 
     fam = _coerce_zonal_family(g)
@@ -451,12 +459,7 @@ def condition2_sup(g, params, j_levels=None, rtol=1e-7, direction_count=None):
         name = "full-multiplier"
         count = direction_count or (128 if params.dim == 2 else 64)
         design = _direction_design(params.dim, count)
-        raw = []
-        for r in rhos:
-            vals = [
-                _full_condition2_integral(g, params, r, y, None) for y in design
-            ]
-            raw.append(max(vals))
+        raw = [float(v) for v in _full_condition2_integrals(g, params, rhos, design).max(axis=1)]
 
     e = params.phi_weight_exponent
     phi = [(1.0 - r) ** e * v for r, v in zip(rhos, raw)]
@@ -530,15 +533,6 @@ def _radial_power_norm(profile, p, weight_exp, n, start_N=96, rtol=1e-6):
     return _settle_by_doubling(level, start_N, rtol, 5, "probe norm quadrature")
 
 
-def _zonal_sequence_mean_profile(n, zcoeffs, radii, rtol=1e-8):
-    """M_1 at each radius for the zonal series with coefficients zcoeffs."""
-    k = np.arange(zcoeffs.size, dtype=float)
-    out = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        out[i] = zonal_abs_power_mean(n, zcoeffs * r**k, 1.0, rtol=rtol)
-    return out
-
-
 def probe_operator_norm(c, params, family="qm_kernels", sizes=None, seed=DEFAULT_SEED):
     """Lower-bound the multiplier operator norm with probe functions.
 
@@ -593,10 +587,10 @@ def probe_operator_norm(c, params, family="qm_kernels", sizes=None, seed=DEFAULT
             for _ in range(12):
                 coeffs = rng.standard_normal(K + 1)
                 den = _radial_power_norm(
-                    lambda r: _zonal_sequence_mean_profile(n, coeffs, r), p, den_exp, n
+                    lambda r: _zonal_power_profile(n, coeffs, 1.0, r, 1e-8), p, den_exp, n
                 )
                 num = _radial_power_norm(
-                    lambda r: _zonal_sequence_mean_profile(n, coeffs * cvals, r),
+                    lambda r: _zonal_power_profile(n, coeffs * cvals, 1.0, r, 1e-8),
                     p,
                     num_exp,
                     n,

@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import AccuracyError, DomainError
 from .expansion import evaluate
+from .specfun import _gauss_jacobi
 from ._zonalseries import zonal_abs_power_mean
 
 __all__ = [
@@ -81,7 +81,7 @@ def radial_rule(s, N):
         raise DomainError(f"weight exponent must be > -1, got {s}")
     if N < 1:
         raise DomainError(f"rule size must be >= 1, got {N}")
-    x, w = roots_jacobi(N, s, 0.0)
+    x, w = _gauss_jacobi(N, s, 0.0)
     r = 0.5 * (x + 1.0)
     weights = w * 2.0 ** (-(s + 1.0))
     return QuadratureRule(r, weights, ("radial", float(s)))
@@ -106,12 +106,6 @@ def _settle_by_doubling(level, start_N, rtol, levels, what):
     raise AccuracyError(f"{what} did not settle", coarse, fine, rtol)
 
 
-def _polar_rule(weight_power, npts):
-    """Gauss rule for int_-1^1 f(t) (1-t^2)^(weight_power/2) dt."""
-    x, w = roots_jacobi(npts, weight_power / 2.0, weight_power / 2.0)
-    return x, w
-
-
 def sphere_rule(n, resolution):
     """Product quadrature on the unit sphere in R^n, normalized measure.
 
@@ -130,7 +124,7 @@ def sphere_rule(n, resolution):
         return QuadratureRule(nodes, weights, ("sphere", 2))
     # polar cosine t: x = (sqrt(1-t^2) * y, t) with y on the sphere in R^(n-1)
     npolar = (resolution + 2) // 2
-    t, wt = _polar_rule(n - 3, npolar)
+    t, wt = _gauss_jacobi(npolar, (n - 3) / 2.0, (n - 3) / 2.0)
     sub = sphere_rule(n - 1, resolution)
     sint = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
     nodes = np.concatenate(
@@ -156,7 +150,7 @@ def zonal_sphere_integral(n, phi, resolution):
         raise DomainError(f"dim must be >= 2, got {n}")
     if resolution < 1:
         raise DomainError(f"resolution must be >= 1, got {resolution}")
-    t, w = _polar_rule(n - 3, resolution)
+    t, w = _gauss_jacobi(resolution, (n - 3) / 2.0, (n - 3) / 2.0)
     vals = np.asarray(phi(t), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DomainError("integrand returned non-finite values")
@@ -210,11 +204,18 @@ class SpaceParams:
         return np.ones_like(np.asarray(r, dtype=float))
 
 
-def _zonal_q_mean(f, q, r, rtol=1e-10):
-    """M_q(f, r) for a zonal expansion via the one-dimensional reduction."""
-    rk = r ** np.arange(f.max_degree + 1, dtype=float)
-    val = zonal_abs_power_mean(f.dim, f.coeffs * rk, q, rtol=rtol)
-    return val ** (1.0 / q)
+def _zonal_power_profile(dim, coeffs, q, radii, rtol=1e-10):
+    """int |f(r x')|^q dx' at each radius r, for the zonal series f with the
+    given coefficients, by the adaptive one-dimensional reduction."""
+    k = np.arange(len(coeffs), dtype=float)
+    return np.array([zonal_abs_power_mean(dim, coeffs * r**k, q, rtol=rtol) for r in radii])
+
+
+def _zonal_q_means(dim, coeffs, q, radii):
+    """M_q(f, r) at each radius for the same zonal series.  The root is
+    taken in scalar arithmetic: numpy's vector power rounds differently."""
+    profile = _zonal_power_profile(dim, coeffs, q, radii)
+    return np.array([v ** (1.0 / q) for v in profile.tolist()])
 
 
 def mean_norm(f, q, r, rule):
@@ -237,17 +238,22 @@ def mean_norm(f, q, r, rule):
     if q <= 0:
         raise DomainError(f"q must be positive, got {q}")
     if f.kind == "zonal":
-        return _zonal_q_mean(f, q, r)
+        return float(_zonal_q_means(f.dim, f.coeffs, q, [r])[0])
     vals = np.abs(evaluate(f, r, rule.nodes))
     return float((rule.weights * vals**q).sum() ** (1.0 / q))
 
 
-def _radial_profile_norm(mean_fn, params, n, radial_N):
-    """( int_0^1 mean_fn(r)^p w(r) r^(n-1) dr )^(1/p) on one radial level."""
+def _default_sphere_res(f):
+    """Sphere resolution of a mixed norm when none is given."""
+    return max(2 * f.max_degree + 2, 8)
+
+
+def _radial_profile_norm(means_at, params, n, radial_N):
+    """( int_0^1 M(r)^p w(r) r^(n-1) dr )^(1/p) on one radial level, with
+    means_at(radii) giving M at the rule's radii."""
     rule = radial_rule(params.radial_weight_exponent, radial_N)
     r = rule.nodes
-    means = np.array([mean_fn(ri) for ri in r])
-    integrand = means**params.p * params.radial_extra_factor(r) * r ** (n - 1)
+    integrand = means_at(r) ** params.p * params.radial_extra_factor(r) * r ** (n - 1)
     return float((rule.weights * integrand).sum()) ** (1.0 / params.p)
 
 
@@ -256,13 +262,30 @@ def _mixed_norm_levels(f, params, radial_N, sphere_res):
 
     def level(N, res):
         if f.kind == "zonal":
-            mean_fn = lambda r: _zonal_q_mean(f, params.q, r)
+            means_at = lambda r: _zonal_q_means(f.dim, f.coeffs, params.q, r)
         else:
             rule = sphere_rule(f.dim, res)
-            mean_fn = lambda r: mean_norm(f, params.q, r, rule)
-        return _radial_profile_norm(mean_fn, params, f.dim, N)
+            means_at = lambda r: np.array([mean_norm(f, params.q, ri, rule) for ri in r])
+        return _radial_profile_norm(means_at, params, f.dim, N)
 
     return level(radial_N, sphere_res), level(2 * radial_N, 2 * sphere_res)
+
+
+def _direct_pnorm(f, params, radial_N, res):
+    """Direct double-integral norm of the weighted p-space (p = q)."""
+    rule = radial_rule(params.radial_weight_exponent, radial_N)
+    if f.kind == "full":
+        srule = sphere_rule(f.dim, res)
+        inners = [
+            float((srule.weights * np.abs(evaluate(f, r, srule.nodes)) ** params.p).sum())
+            for r in rule.nodes
+        ]
+    else:
+        inners = _zonal_power_profile(f.dim, f.coeffs, params.p, rule.nodes)
+    total = 0.0
+    for r, w, inner in zip(rule.nodes, rule.weights, inners):
+        total += w * inner * float(params.radial_extra_factor(r)) * r ** (f.dim - 1)
+    return total ** (1.0 / params.p)
 
 
 def _checked_norm_levels(coarse, fine, rtol=NORM_RTOL):
@@ -284,6 +307,6 @@ def mixed_norm(f, params, radial_N=48, sphere_res=None, accuracy_rtol=NORM_RTOL)
     if radial_N < 1:
         raise DomainError(f"radial_N must be >= 1, got {radial_N}")
     if sphere_res is None:
-        sphere_res = max(2 * f.max_degree + 2, 8)
+        sphere_res = _default_sphere_res(f)
     coarse, fine = _mixed_norm_levels(f, params, radial_N, sphere_res)
     return _checked_norm_levels(coarse, fine, accuracy_rtol)

@@ -18,13 +18,17 @@ ultraspherical three-term recurrence, which lives in ``_zonalseries``
 * ``lambda_coeff``                 -- the coefficient ratio
   Gamma(k + n/2 + m + 1) / (Gamma(k + n/2) Gamma(m + 1)) of the fractional
   radial derivative of order m + 1.
+* ``_gauss_jacobi``                -- the one source of Gauss-Jacobi nodes
+  and weights, cached, for every radial, polar and panel rule.
 
 All functions are pure and accept either scalars or numpy arrays in their
 "mathematical" argument; scalars in, scalars out.
 """
 
+import functools
+
 import numpy as np
-from scipy.special import binom, gammaln
+from scipy.special import binom, gammaln, roots_jacobi
 
 from .errors import DomainError
 
@@ -76,6 +80,19 @@ def gegenbauer(k, lam, t):
     w[k] = binom(k + 2.0 * lam - 1.0, k)
     out = _series_sum_numpy(w, lam, np.atleast_1d(t)).reshape(t.shape)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_jacobi(N, a, b):
+    """N-point Gauss rule for int_-1^1 phi(x) (1-x)^a (1+x)^b dx.
+
+    Returns read-only (nodes, weights); rules are rebuilt many times with
+    the same (N, a, b) by the settle-by-doubling loops, so they are cached.
+    """
+    x, w = roots_jacobi(N, a, b)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def sph_dim(n, k):

@@ -47,6 +47,11 @@ def test_norm_malformed_block_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "block 1" in err and "d_1 = 2" in err
+    for text, what in (('{"dim": 3, "kind": "full", "coeffs": 5}', "sequence of blocks"),
+                       ('{"dim": 3, "kind": "full", "coeffs": [[1.0], {"a": 1}]}', "block 1")):
+        bad.write_text(text)
+        assert main(["norm", "--input", str(bad)]) == 2
+        assert what in capsys.readouterr().err
 
 
 def test_norm_nan_coefficient_exits_2(tmp_path, capsys):
@@ -62,6 +67,10 @@ def test_mult_check_infinite_multiplier_exits_2(tmp_path, capsys):
     code = main(["mult-check", "--alpha", "0.5", "--beta", "0.25", "--multiplier", str(bad)])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+    bad.write_text('{"dim": 3, "kind": "full", "coeffs": 5}')
+    code = main(["mult-check", "--alpha", "0.5", "--beta", "0.25", "--multiplier", str(bad)])
+    assert code == 2
+    assert "sequence of blocks" in capsys.readouterr().err
 
 
 def test_norm_missing_file_exits_2(tmp_path):
@@ -175,6 +184,15 @@ def test_mult_check_reports_byte_identical(tmp_path):
         assert code == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("levels", ["2", "3"])
+def test_mult_check_too_few_grid_levels_exits_2(levels, capsys):
+    # J = 3 leaves one grid point and J = 2 none: no growth fit is possible
+    code = main(["mult-check", "--alpha", "0.75", "--beta", "0.25",
+                 "--rho-levels", levels])
+    assert code == 2
+    assert "at least two grid levels" in capsys.readouterr().err
 
 
 def test_cli_entrypoint_subprocess(const_file):

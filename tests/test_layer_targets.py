@@ -1,6 +1,12 @@
 """The benchmark's traced run (perfbench/layers.py) wraps ballharm functions
-by module and attribute name, so a rename or a move breaks it; these checks
-catch that in the test suite instead."""
+by module and attribute name, so a rename, or a move that drops the old
+name, breaks it; these checks catch that in the test suite instead.
+
+A move that keeps the old name as an import does not break it:
+``Tracer.patch`` rebinds the wrapper under every name that binds the
+original in any ``ballharm`` module.  ``_direct_pnorm`` lives in
+``quadrature`` and ``cli`` imports it, so the ``cli._direct_pnorm`` target
+still resolves and wraps the one function both names share."""
 
 import importlib
 import os
@@ -28,6 +34,12 @@ def test_tracer_targets_resolve(monkeypatch):
     assert targets
     for span, module, attr, _counts in targets:
         assert callable(getattr(module, attr, None)), f"{span}: {module.__name__}.{attr}"
+
+
+def test_moved_direct_pnorm_keeps_its_traced_name():
+    from ballharm import cli, quadrature
+
+    assert cli._direct_pnorm is quadrature._direct_pnorm
 
 
 @pytest.mark.parametrize("name", (None,) + MODULES)

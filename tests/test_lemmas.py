@@ -210,13 +210,9 @@ def test_lemma6_passes(n):
 
 def test_lemma6_matches_lemma3_for_ones():
     # with g all ones both pairings reproduce f at r^2: cross-lemma coherence
-    from ballharm.lemmas import (
-        _gauss01,
-        _poisson_convolution,
-        _sphere_pairing,
-    )
+    from ballharm.lemmas import _poisson_convolution, _sphere_pairing
     from ballharm import frac_derivative
-    from ballharm.quadrature import sphere_rule
+    from ballharm.quadrature import radial_rule, sphere_rule
 
     rng = np.random.default_rng(33)
     n, degree, m = 2, 5, 2
@@ -229,7 +225,8 @@ def test_lemma6_matches_lemma3_for_ones():
     r = 0.6
     gp = _poisson_convolution(ones, y)
     left = _sphere_pairing(gp, f, r, rule)
-    R, wR = _gauss01(degree + m + n + 2)
+    radial = radial_rule(0.0, degree + m + n + 2)
+    R, wR = radial.nodes, radial.weights
     lam_gp = frac_derivative(gp, m)
     inner = np.array([_sphere_pairing(lam_gp, f, r * Ri, rule) for Ri in R])
     right = 2.0 * float((wR * inner * (1 - R**2) ** m * R ** (n - 1)).sum())
@@ -243,16 +240,17 @@ def test_lemma6_constants_chain():
     n, m = 3, 2
     f = HarmonicExpansion(n, "full", [[2.0]])
     g = HarmonicExpansion(n, "full", [[3.0]])
-    from ballharm.lemmas import _gauss01, _poisson_convolution, _sphere_pairing
+    from ballharm.lemmas import _poisson_convolution, _sphere_pairing
     from ballharm import frac_derivative, lambda_coeff
-    from ballharm.quadrature import sphere_rule
+    from ballharm.quadrature import radial_rule, sphere_rule
 
     rule = sphere_rule(n, 8)
     y = np.array([0.0, 0.0, 1.0])
     gp = _poisson_convolution(g, y)
     left = _sphere_pairing(gp, f, 0.5, rule)
     assert left == pytest.approx(6.0, rel=1e-12)
-    R, wR = _gauss01(m + n + 2)
+    radial = radial_rule(0.0, m + n + 2)
+    R, wR = radial.nodes, radial.weights
     gamma0 = lambda_coeff(n, 0, m)
     moment = float((wR * (1 - R**2) ** m * R ** (n - 1)).sum())
     assert 2.0 * gamma0 * 6.0 * moment == pytest.approx(6.0, rel=1e-12)

@@ -16,9 +16,11 @@ from ballharm import (
     probe_operator_norm,
     sph_dim,
 )
-from ballharm.multipliers import _CURVE_CACHE, _family_from_values
+from ballharm.multipliers import _CURVE_CACHE, _direction_design, _family_from_values, _fit_window
+from ballharm.expansion import _basis_matrix
+from ballharm.quadrature import sphere_rule
 from ballharm._zonalseries import zonal_series_values
-from ballharm.specfun import lambda_coeff
+from ballharm.specfun import _log_lambda_coeff, lambda_coeff
 
 
 def params_for(dim=3, p=1.0, alpha=0.5, beta=0.25, m=2.0):
@@ -133,6 +135,45 @@ def test_condition2_full_matches_zonal_for_broadcast_blocks():
             assert fine == pytest.approx(z, rel=1e-5)
 
 
+def _full_integral_loop(blocks, p, rho, direction):
+    """I(rho, y') with one rule and basis per pair and per-block weights:
+    the reference the shared full-kind routine must reproduce exactly."""
+    K = len(blocks) - 1
+    rule = sphere_rule(p.dim, max(8 * K + 64, 128))
+    basis_y = _basis_matrix(p.dim, K, np.asarray(direction).reshape(1, -1))[0]
+    k = np.arange(K + 1, dtype=float)
+    gam = np.exp(_log_lambda_coeff(p.dim, k, p.m) + k * math.log(rho))
+    offsets = np.cumsum([0] + [b.size for b in blocks])
+    weights = np.concatenate(
+        [blocks[kk] * basis_y[offsets[kk] : offsets[kk + 1]] * gam[kk] for kk in range(K + 1)]
+    )
+    vals = _basis_matrix(p.dim, K, rule.nodes) @ weights
+    return float((rule.weights * np.abs(vals)).sum())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_condition2_sup_full_is_max_of_condition2_integral(dim):
+    # condition2_sup and condition2_integral share one routine for full
+    # multipliers: the design maximum must reproduce bit for bit, and both
+    # must equal the per-pair loop
+    rng = np.random.default_rng(5)
+    cf = MultiplierSequence(dim, "full", [rng.uniform(-1, 1, sph_dim(dim, k)) for k in range(5)])
+    p = params_for(dim=dim)
+    rep = condition2_sup(cf, p, j_levels=[3, 4, 5], direction_count=8)
+    design = _direction_design(dim, 8)
+    for rho, raw in zip(rep.rho_grid, rep.raw_integrals):
+        assert raw == max(condition2_integral(cf, p, rho, direction=y) for y in design)
+        assert raw == max(_full_integral_loop(cf.values, p, rho, y) for y in design)
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 2.0], [0.6, 0.0, 0.6], [0.0, 1.0],
+                                       [np.nan, 0.0, 1.0]])
+def test_condition2_integral_rejects_bad_direction(direction):
+    cf = MultiplierSequence(3, "full", [[1.0], [0.5, 0.5, 0.5]])
+    with pytest.raises(DomainError, match="direction"):
+        condition2_integral(cf, params_for(dim=3), 0.5, direction=direction)
+
+
 def test_condition2_scaling_covariance():
     p = params_for()
     base = MultiplierSequence(3, "zonal", [1.0, 0.5, 0.25, 0.125])
@@ -190,6 +231,19 @@ def test_condition2_grid_validation():
         condition2_sup("ones", params_for(), j_levels=[3, 4, 15])
     with pytest.raises(DomainError):
         condition2_sup("ones", params_for(), j_levels=[5, 4, 3])
+
+
+def test_growth_fit_needs_two_points():
+    with pytest.raises(DomainError, match="two"):
+        _fit_window([1.0], [2.0])
+    with pytest.raises(DomainError, match="two"):
+        _fit_window([], [])
+    assert _fit_window([0.0, 1.0], [1.0, 3.0]) == pytest.approx(2.0)
+    for levels in ([3], [], [3, 3, 4]):
+        with pytest.raises(DomainError):
+            condition2_sup("ones", params_for(), j_levels=levels)
+    with pytest.raises(DomainError, match="two"):
+        probe_operator_norm("ones", params_for(), sizes=[0.875])
 
 
 def test_probe_norm_failure_reports_two_distinct_levels():

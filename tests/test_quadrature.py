@@ -46,6 +46,25 @@ def test_radial_rule_beta_integral():
     assert float((rule.weights * rule.nodes).sum()) == pytest.approx(expected, rel=1e-13)
 
 
+def test_radial_rule_legendre_bit_identical():
+    # the cached Jacobi source reproduces the Legendre rule on [0, 1] exactly
+    from scipy.special import roots_legendre
+
+    from ballharm.specfun import _gauss_jacobi
+
+    for N in (1, 7, 16, 48, 96):
+        x, w = roots_legendre(N)
+        rule = radial_rule(0.0, N)
+        assert np.array_equal(rule.nodes, 0.5 * (x + 1.0))
+        assert np.array_equal(rule.weights, 0.5 * w)
+        cached = _gauss_jacobi(N, 0.0, 0.0)
+        assert cached is _gauss_jacobi(N, 0.0, 0.0)
+        for arr in cached:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 def test_radial_rule_domain():
     with pytest.raises(DomainError):
         radial_rule(-1.0, 4)
@@ -215,7 +234,7 @@ def test_mixed_norm_homogeneous():
 
 
 def test_mixed_norm_pq_collapse_matches_direct():
-    from ballharm.cli import _direct_pnorm
+    from ballharm.quadrature import _direct_pnorm
 
     rng = np.random.default_rng(13)
     for n, kind in ((2, "full"), (3, "zonal")):

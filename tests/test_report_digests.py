@@ -1,0 +1,74 @@
+"""Byte-identity guards: the sha256 of a few cheap CLI reports, pinned.
+
+A change that is meant to leave every number alone (a refactor, a cache,
+a moved function) must leave these digests alone too.  A change that is
+meant to move a number updates the digest here and says which field moved
+and why.  The digests were taken with numpy 2.4.6 and scipy 1.17.1 on the
+numpy series path (numba absent); other builds may round differently, so
+the tests skip there.
+"""
+
+import hashlib
+import importlib.util
+import json
+
+import numpy as np
+import pytest
+import scipy
+
+from ballharm import MultiplierSequence, TheoremParams, condition2_sup, reports
+from ballharm.cli import main
+
+BUILD = ("2.4.6", "1.17.1", False)
+pytestmark = pytest.mark.skipif(
+    (np.__version__, scipy.__version__, importlib.util.find_spec("numba") is not None) != BUILD,
+    reason="report digests were taken with numpy 2.4.6 and scipy 1.17.1, numba absent",
+)
+
+ZONAL = {"dim": 3, "kind": "zonal", "pole": [0.0, 0.0, 1.0],
+         "coeffs": [1.0, 0.5, -0.25, 0.125, -0.0625]}
+FULL = {"dim": 2, "kind": "full",
+        "coeffs": [[1.0], [0.5, -0.25], [0.125, 0.375], [-0.0625, 0.25]]}
+NORM = ["norm", "--p", "2", "--q", "2", "--alpha", "0.5"]
+
+CASES = {
+    "norm-zonal": (NORM + ["--input", "zonal.json"], 0,
+                   "2383015adfbcf7183ee5fa0cf52c585525fbed65bb6659b734550ebb8d23bf73"),
+    "norm-full": (NORM + ["--input", "full.json"], 0,
+                  "c844e0f98ad5d9b848f2211ac77aea457fcdca13c17de22639db64255ccca606"),
+    "mult-check-ones": (["mult-check", "--alpha", "0.5", "--beta", "0.25",
+                         "--multiplier", "ones", "--rho-levels", "6"], 0,
+                        "c68ca79771c8dd662c0172aad64f6257e9e31d8a36b66c97c6a0e6c882150642"),
+    "lemma-4": (["lemma", "--id", "4"], 0,
+                "b08bdd770c738afaec22034670d698f74fb12e851a2da69b85420f9e17628b69"),
+}
+
+
+# full-kind condition (2), which mult-check does not report: (blocks, digest)
+FULL_CONDITION2 = {
+    2: ([[1.0], [0.5, -0.25], [0.125, 0.375], [-0.0625, 0.25]],
+        "3cf509a94e02cf2fa5b7628cf5ca0a9ec69aa3733245761b94689dfa293c5bf7"),
+    3: ([[1.0], [0.5, -0.25, 0.75], [0.125, 0.375, -0.5, 0.25, 0.0625]],
+        "ce6fd32180b33f7b3596a34825df45f707fedbde2ef0b17fb8dd6f2f7b6d4905"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest_pinned(name, tmp_path, monkeypatch):
+    argv, code, digest = CASES[name]
+    # relative paths: the input path is part of the norm report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zonal.json").write_text(json.dumps(ZONAL))
+    (tmp_path / "full.json").write_text(json.dumps(FULL))
+    assert main(argv + ["--out", "report.json"]) == code
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim", sorted(FULL_CONDITION2))
+def test_full_condition2_digest_pinned(dim):
+    blocks, digest = FULL_CONDITION2[dim]
+    rep = condition2_sup(MultiplierSequence(dim, "full", blocks),
+                         TheoremParams(p=1.0, alpha=0.5, beta=0.25, m=2.0, dim=dim),
+                         j_levels=[3, 4, 5], direction_count=8)
+    text = reports.dumps(rep.to_payload())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
