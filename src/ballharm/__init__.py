@@ -7,6 +7,8 @@ A^{p,1}_alpha and A^{p,1}_beta, and a verification harness for the
 supporting kernel and norm estimates.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     AccuracyError,
     BallharmError,
@@ -70,5 +72,3 @@ from .lemmas import (
     check_lemma5,
     check_lemma6,
 )
-
-__version__ = "0.1.0"

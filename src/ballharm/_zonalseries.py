@@ -23,6 +23,7 @@ that test is skipped and only the numpy path runs.
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError
 from .specfun import _gauss_jacobi, _sph_dim_array
@@ -77,6 +78,9 @@ def _series_sum_numpy(w, lam, t):
     return acc
 
 
+_series_sum = _series_sum_kernel if _HAVE_NUMBA else _series_sum_numpy
+
+
 def zonal_series_values(dim, zcoeffs, t):
     """Evaluate G(t) = sum_k zcoeffs[k] * Z_k(t) at the cosines ``t``."""
     if dim < 2:
@@ -90,17 +94,12 @@ def zonal_series_values(dim, zcoeffs, t):
     t = np.clip(t, -1.0, 1.0)
     w = zcoeffs * _sph_dim_array(dim, zcoeffs.size - 1)
     lam = (dim - 2) / 2.0
-    if _HAVE_NUMBA:
-        out = _series_sum_kernel(w, lam, t)
-    else:
-        out = _series_sum_numpy(w, lam, t)
+    out = _series_sum(w, lam, t)
     return float(out[0]) if scalar else out
 
 
 def sphere_density_constant(dim):
     """c_n with d(sigma) = c_n (sin theta)^(n-2) d(theta), sigma normalized."""
-    from scipy.special import gammaln
-
     return math.exp(gammaln(dim / 2.0) - 0.5 * math.log(math.pi) - gammaln((dim - 1) / 2.0))
 
 
@@ -140,10 +139,7 @@ def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8, max_rounds=48):
         th32 = mid + half * x32[None, :]
         theta = np.concatenate([th16.ravel(), th32.ravel()])
         tt = np.ascontiguousarray(np.cos(theta))
-        if _HAVE_NUMBA:
-            G = _series_sum_kernel(w, lam, tt)
-        else:
-            G = _series_sum_numpy(w, lam, tt)
+        G = _series_sum(w, lam, tt)
         dens = cn * np.sin(theta) ** (dim - 2)
         vals = np.abs(G) ** power * dens
         n16 = th16.size

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, reports
+from . import reports
 from .errors import AccuracyError, BallharmError, DomainError, UsageError
 from .expansion import (
     KernelSpec,
@@ -63,18 +63,6 @@ EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 EXIT_DISAGREE = 4
 EXIT_INCONCLUSIVE = 5
-
-
-def _report(command, parameters, values, tolerances, verdicts, seed):
-    return {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "parameters": parameters,
-        "tolerances": tolerances,
-        "values": values,
-        "verdicts": verdicts,
-    }
 
 
 def _emit(report, out_path):
@@ -168,7 +156,7 @@ def cmd_norm(args):
         direct = _direct_pnorm(f, params, args.radial_N * 2, res * 2)
         values["pq_direct_norm"] = direct
         values["pq_consistency"] = abs(value - direct) / max(abs(value), 1e-300)
-    report = _report(
+    report = reports.envelope(
         "norm",
         {
             "input": args.input,
@@ -213,7 +201,7 @@ def cmd_kernel(args):
     if args.out:
         save_expansion(kernel, args.out)
         values["written"] = args.out
-    report = _report(
+    report = reports.envelope(
         "kernel",
         {"dim": args.dim, "m": args.m, "r_max": args.r_max, "tol": args.tol},
         values,
@@ -243,7 +231,7 @@ def cmd_lemma(args):
         rep = check_lemma6(args.dim, m=int(args.m), tuples=tuples, seed=args.seed)
     else:
         raise UsageError(f"lemma id must lie in 1..6, got {args.id}")
-    report = _report(
+    report = reports.envelope(
         "lemma",
         {"id": args.id, "dim": args.dim, "seed": args.seed, "fast": args.fast},
         rep.to_payload(),
@@ -287,7 +275,7 @@ def cmd_mult_check(args):
         seed=args.seed,
     )
     check = equivalence_verdict(cond2, probe)
-    report = _report(
+    report = reports.envelope(
         "mult-check",
         {
             "dim": args.dim,

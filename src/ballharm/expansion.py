@@ -286,6 +286,21 @@ def _per_entry(blocks, per_degree):
 # ---------------------------------------------------------------------------
 
 
+def _radial_values(f, radii, points):
+    """f(r x') at the unit vectors ``points`` (M, dim), one array per radius.
+
+    A full expansion's basis at the points is built once; each radius is
+    then one matrix-vector product.
+    """
+    k = np.arange(f.max_degree + 1, dtype=float)
+    if f.kind == "zonal":
+        t = points @ f.pole
+        return [zonal_series_values(f.dim, f.coeffs * r**k, t) for r in radii]
+    basis = _basis_matrix(f.dim, f.max_degree, points)
+    coeffs = np.concatenate(f.coeffs)
+    return [basis @ (coeffs * _per_entry(f.coeffs, r**k)) for r in radii]
+
+
 def evaluate(f, r, direction):
     """Evaluate the expansion at radius r in [0, 1) and unit direction(s).
 
@@ -302,14 +317,7 @@ def evaluate(f, r, direction):
     norms = np.linalg.norm(pts, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise DomainError("directions must be unit vectors")
-    rk = r ** np.arange(f.max_degree + 1, dtype=float)
-    if f.kind == "zonal":
-        t = pts @ f.pole
-        out = zonal_series_values(f.dim, f.coeffs * rk, t)
-        out = np.atleast_1d(out)
-    else:
-        weights = np.concatenate(f.coeffs) * _per_entry(f.coeffs, rk)
-        out = _basis_matrix(f.dim, f.max_degree, pts) @ weights
+    out = _radial_values(f, [r], pts)[0]
     return float(out[0]) if scalar else out
 
 
@@ -348,18 +356,15 @@ def apply_multiplier(c, f):
         raise IncompatibleExpansionError(
             f"apply_multiplier: dimension mismatch {c.dim} != {f.dim}"
         )
+    if c.kind == "full" and f.kind == "zonal":
+        raise IncompatibleExpansionError(
+            "a full multiplier cannot act on a zonal expansion"
+        )
     K = min(c.max_degree, f.max_degree)
-    if c.kind == "zonal" and f.kind == "zonal":
+    if f.kind == "zonal":
         return HarmonicExpansion(f.dim, "zonal", c.values[: K + 1] * f.coeffs[: K + 1], f.pole)
-    if c.kind == "zonal" and f.kind == "full":
-        blocks = [f.coeffs[k] * c.values[k] for k in range(K + 1)]
-        return HarmonicExpansion(f.dim, "full", blocks)
-    if c.kind == "full" and f.kind == "full":
-        blocks = [f.coeffs[k] * c.values[k] for k in range(K + 1)]
-        return HarmonicExpansion(f.dim, "full", blocks)
-    raise IncompatibleExpansionError(
-        "a full multiplier cannot act on a zonal expansion"
-    )
+    blocks = [f.coeffs[k] * c.values[k] for k in range(K + 1)]
+    return HarmonicExpansion(f.dim, "full", blocks)
 
 
 def frac_derivative(f, m):
@@ -488,15 +493,19 @@ def save_expansion(f, path):
     reports.dump_to(path, _coeff_payload(f.dim, f.kind, f.coeffs, f.pole))
 
 
+def _require_fields(payload, what):
+    for key in ("dim", "kind", "coeffs"):
+        if key not in payload:
+            raise DomainError(f"{what} file is missing the field {key!r}")
+
+
 def load_expansion(path):
     payload = reports.load_from(path)
     return expansion_from_payload(payload)
 
 
 def expansion_from_payload(payload):
-    for key in ("dim", "kind", "coeffs"):
-        if key not in payload:
-            raise DomainError(f"coefficient file is missing the field {key!r}")
+    _require_fields(payload, "coefficient")
     kind = payload["kind"]
     pole = payload.get("pole")
     if kind == "zonal" and pole is None:
@@ -511,7 +520,5 @@ def save_multiplier(c, path):
 
 def load_multiplier(path):
     payload = reports.load_from(path)
-    for key in ("dim", "kind", "coeffs"):
-        if key not in payload:
-            raise DomainError(f"multiplier file is missing the field {key!r}")
+    _require_fields(payload, "multiplier")
     return MultiplierSequence(int(payload["dim"]), payload["kind"], payload["coeffs"])

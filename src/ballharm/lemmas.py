@@ -35,10 +35,10 @@ from scipy.optimize import nnls
 from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, UsageError
-from .expansion import HarmonicExpansion, evaluate, frac_derivative, sph_dim
+from .expansion import HarmonicExpansion, _basis_block, _radial_values, frac_derivative, sph_dim
 from .multipliers import DEFAULT_SEED, _family_ones, _fit_window, _growth_integral
-from .quadrature import _settle_by_doubling, _zonal_q_means, radial_rule, sphere_rule
-from .specfun import _log_lambda_coeff
+from .quadrature import _q_means, _settle_by_doubling, radial_rule, sphere_rule
+from .specfun import _log_lambda_coeff, _sph_dim_array
 from ._zonalseries import zonal_series_values
 
 __all__ = [
@@ -77,17 +77,15 @@ def _random_full(n, degree, rng):
     return HarmonicExpansion(n, "full", blocks)
 
 
-def _sphere_pairing(u, v, r, rule):
-    """integral over the sphere of u(r x') v(r x') under the rule."""
-    uu = evaluate(u, r, rule.nodes)
-    vv = evaluate(v, r, rule.nodes)
-    return float((rule.weights * uu * vv).sum())
+def _sphere_pairing(u, v, radii, rule):
+    """integral over the sphere of u(r x') v(r x') under the rule, at each
+    radius; each expansion is sampled once for all the radii."""
+    pairs = zip(_radial_values(u, radii, rule.nodes), _radial_values(v, radii, rule.nodes))
+    return [float((rule.weights * uu * vv).sum()) for uu, vv in pairs]
 
 
 def _poisson_convolution(g, direction):
     """g * P_{y'} as a full expansion: block k becomes c_k^(j) y_j^(k)(y')."""
-    from .expansion import _basis_block
-
     direction = np.asarray(direction, dtype=float).reshape(1, -1)
     blocks = [
         g.coeffs[k] * _basis_block(g.dim, k, direction)[0]
@@ -103,8 +101,6 @@ def _poisson_convolution(g, direction):
 
 def _qkernel_values(n, beta, s, t, rel_tol=1e-10):
     """|Q_beta| at radius product s and cosines t, by truncated series."""
-    from .specfun import _sph_dim_array
-
     kmax = 256
     while True:
         k = np.arange(kmax + 1, dtype=float)
@@ -257,10 +253,8 @@ def check_lemma2(alpha, lam, rho_grid=None, slope_tol=0.05):
 
 def _pairing_mismatch(n, f, g, y, r, rule):
     """Relative gap between the quadrature pairing and the coefficient sum."""
-    from .expansion import _basis_block
-
     gp = _poisson_convolution(g, y)
-    left = _sphere_pairing(gp, f, r, rule)
+    left = _sphere_pairing(gp, f, [r], rule)[0]
     right = 0.0
     for k in range(min(f.max_degree, g.max_degree) + 1):
         yk = _basis_block(n, k, np.asarray(y, dtype=float).reshape(1, -1))[0]
@@ -367,17 +361,23 @@ def check_lemma5(
     if f is not None:
         if f.kind != "zonal" or f.dim != n:
             raise UsageError("lemma 5 takes a zonal expansion in dimension n")
-        coeffs = np.asarray(f.coeffs, dtype=float)
         degree = f.max_degree
     else:
         rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(degree + 1)
+        f = HarmonicExpansion(n, "zonal", rng.standard_normal(degree + 1), np.eye(n)[-1])
+    levels = {}
+
+    def level_means(weight_exp, N):
+        # M_p(f, .) at the nodes of one radial level, shared by every x
+        if (weight_exp, N) not in levels:
+            rule = radial_rule(weight_exp, N)
+            levels[weight_exp, N] = rule, _q_means(f, p, rule.nodes, None)
+        return levels[weight_exp, N]
 
     def lhs(x):
         def level(N):
-            rule = radial_rule(beta, N)
+            rule, means = level_means(beta, N)
             s = rule.nodes
-            means = _zonal_q_means(n, coeffs, p, s)
             vals = means / (1.0 - x * s) ** (beta + 1.0) * s ** (n - 1)
             return float((rule.weights * vals).sum())
 
@@ -385,9 +385,8 @@ def check_lemma5(
 
     def rhs(x):
         def level(N):
-            rule = radial_rule(beta * q + q - 1.0, N)
+            rule, means = level_means(beta * q + q - 1.0, N)
             s = rule.nodes
-            means = _zonal_q_means(n, coeffs, p, s)
             vals = means**q / (1.0 - x * s) ** ((beta + 1.0) * q) * s ** (n - 1)
             return float((rule.weights * vals).sum())
 
@@ -422,9 +421,8 @@ def check_lemma5(
 def _ball_pairing_mismatch(n, m, f, g, y, r, rule, radial):
     R, wR = radial.nodes, radial.weights
     gp = _poisson_convolution(g, y)
-    left = _sphere_pairing(gp, f, r, rule)
-    lam_gp = frac_derivative(gp, m)
-    inner = np.array([_sphere_pairing(lam_gp, f, r * Ri, rule) for Ri in R])
+    left = _sphere_pairing(gp, f, [r], rule)[0]
+    inner = _sphere_pairing(frac_derivative(gp, m), f, r * R, rule)
     right = 2.0 * float((wR * inner * (1.0 - R**2) ** m * R ** (n - 1)).sum())
     return abs(left - right) / max(abs(left), 1e-300)
 

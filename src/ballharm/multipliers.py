@@ -264,7 +264,9 @@ def _growth_integral(n, m, family, s, rtol=1e-7):
 
 class _GrowthCurve:
     """I(s) sampled on a ladder of radii accumulating at 1, with a smooth
-    log-log interpolant for radial quadrature between the samples."""
+    log-log interpolant for radial quadrature between the samples.  Radii
+    below the ladder, and off-ladder radii asked for exactly, are computed
+    once each and kept."""
 
     def __init__(self, n, m, family, j_deepest, rtol=1e-7):
         js = np.concatenate(
@@ -282,19 +284,14 @@ class _GrowthCurve:
         else:
             self._spline = None
             self._log_interp = False
-        self._small_cache = {}
+        self._exact = {}
 
     def at(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(s)
         low = s < self.s_nodes[0]
         for idx in np.nonzero(low)[0]:
-            key = float(s[idx])
-            if key not in self._small_cache:
-                self._small_cache[key] = _growth_integral(
-                    self.n, self.m, self.family, key, self.rtol
-                )
-            out[idx] = self._small_cache[key]
+            out[idx] = self.exact(float(s[idx]))
         if np.any(~low):
             xi = -np.log1p(-s[~low])
             if self._log_interp:
@@ -303,11 +300,18 @@ class _GrowthCurve:
                 out[~low] = np.interp(xi, self._xi, self.values)
         return out
 
+    def exact(self, s):
+        """I(s) computed at s itself, not interpolated."""
+        if s not in self._exact:
+            self._exact[s] = _growth_integral(self.n, self.m, self.family, s, self.rtol)
+        return self._exact[s]
+
     def node_value(self, s):
-        """Exact sampled value at a ladder radius (1 - s a power of 2^-1/2)."""
+        """Exact value at s: the ladder sample when s is a ladder radius
+        (1 - s a power of 2^-1/2), otherwise computed."""
         idx = np.argmin(np.abs(self.s_nodes - s))
         if abs(self.s_nodes[idx] - s) > 1e-13:
-            return float(self.at(s)[0])
+            return self.exact(float(s))
         return float(self.values[idx])
 
 

@@ -20,6 +20,12 @@ w(r) = (1-r)^(alpha*p - 1) under the convention used by the multiplier
 theorem machinery.  Every norm is computed at two refinement levels;
 disagreement beyond tolerance raises AccuracyError instead of returning a
 silently wrong number.
+
+One mean profile, int |f(r x')|^q dx' at each radius of a radial rule,
+serves both expansion kinds: zonal expansions reduce it to an adaptive
+one-dimensional integral, and full expansions sample f at the sphere-rule
+nodes through one basis build for all the radii.  The mixed norms, the
+direct p-norm and the lemma checks all take their means from it.
 """
 
 import math
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .expansion import evaluate
+from .expansion import _radial_values, evaluate
 from .specfun import _gauss_jacobi
 from ._zonalseries import zonal_abs_power_mean
 
@@ -211,11 +217,24 @@ def _zonal_power_profile(dim, coeffs, q, radii, rtol=1e-10):
     return np.array([zonal_abs_power_mean(dim, coeffs * r**k, q, rtol=rtol) for r in radii])
 
 
-def _zonal_q_means(dim, coeffs, q, radii):
-    """M_q(f, r) at each radius for the same zonal series.  The root is
-    taken in scalar arithmetic: numpy's vector power rounds differently."""
-    profile = _zonal_power_profile(dim, coeffs, q, radii)
-    return np.array([v ** (1.0 / q) for v in profile.tolist()])
+def _power_profile(f, q, radii, rule):
+    """int |f(r x')|^q dx' at each radius r: the adaptive zonal reduction
+    for a zonal f, the sphere rule for a full f (rule is unused for zonal)."""
+    if f.kind == "zonal":
+        return _zonal_power_profile(f.dim, f.coeffs, q, radii)
+    values = _radial_values(f, radii, rule.nodes)
+    return np.array([(rule.weights * np.abs(v) ** q).sum() for v in values])
+
+
+def _q_means(f, q, radii, rule):
+    """M_q(f, r) at each radius.  The root is taken in scalar arithmetic:
+    numpy's vector power rounds differently."""
+    return np.array([v ** (1.0 / q) for v in _power_profile(f, q, radii, rule).tolist()])
+
+
+def _sphere_rule_for(f, resolution):
+    """The sphere rule a full expansion's profile needs; None for zonal f."""
+    return sphere_rule(f.dim, resolution) if f.kind == "full" else None
 
 
 def mean_norm(f, q, r, rule):
@@ -237,10 +256,7 @@ def mean_norm(f, q, r, rule):
         return float(vals.max())
     if q <= 0:
         raise DomainError(f"q must be positive, got {q}")
-    if f.kind == "zonal":
-        return float(_zonal_q_means(f.dim, f.coeffs, q, [r])[0])
-    vals = np.abs(evaluate(f, r, rule.nodes))
-    return float((rule.weights * vals**q).sum() ** (1.0 / q))
+    return float(_q_means(f, q, [r], rule)[0])
 
 
 def _default_sphere_res(f):
@@ -248,25 +264,16 @@ def _default_sphere_res(f):
     return max(2 * f.max_degree + 2, 8)
 
 
-def _radial_profile_norm(means_at, params, n, radial_N):
-    """( int_0^1 M(r)^p w(r) r^(n-1) dr )^(1/p) on one radial level, with
-    means_at(radii) giving M at the rule's radii."""
-    rule = radial_rule(params.radial_weight_exponent, radial_N)
-    r = rule.nodes
-    integrand = means_at(r) ** params.p * params.radial_extra_factor(r) * r ** (n - 1)
-    return float((rule.weights * integrand).sum()) ** (1.0 / params.p)
-
-
 def _mixed_norm_levels(f, params, radial_N, sphere_res):
-    """(coarse, fine) mixed-norm values at consecutive refinement levels."""
+    """(coarse, fine) mixed-norm values at consecutive refinement levels:
+    ( int_0^1 M_q(f, r)^p w(r) r^(n-1) dr )^(1/p) on each level."""
 
     def level(N, res):
-        if f.kind == "zonal":
-            means_at = lambda r: _zonal_q_means(f.dim, f.coeffs, params.q, r)
-        else:
-            rule = sphere_rule(f.dim, res)
-            means_at = lambda r: np.array([mean_norm(f, params.q, ri, rule) for ri in r])
-        return _radial_profile_norm(means_at, params, f.dim, N)
+        rule = radial_rule(params.radial_weight_exponent, N)
+        r = rule.nodes
+        means = _q_means(f, params.q, r, _sphere_rule_for(f, res))
+        integrand = means**params.p * params.radial_extra_factor(r) * r ** (f.dim - 1)
+        return float((rule.weights * integrand).sum()) ** (1.0 / params.p)
 
     return level(radial_N, sphere_res), level(2 * radial_N, 2 * sphere_res)
 
@@ -274,14 +281,7 @@ def _mixed_norm_levels(f, params, radial_N, sphere_res):
 def _direct_pnorm(f, params, radial_N, res):
     """Direct double-integral norm of the weighted p-space (p = q)."""
     rule = radial_rule(params.radial_weight_exponent, radial_N)
-    if f.kind == "full":
-        srule = sphere_rule(f.dim, res)
-        inners = [
-            float((srule.weights * np.abs(evaluate(f, r, srule.nodes)) ** params.p).sum())
-            for r in rule.nodes
-        ]
-    else:
-        inners = _zonal_power_profile(f.dim, f.coeffs, params.p, rule.nodes)
+    inners = _power_profile(f, params.p, rule.nodes, _sphere_rule_for(f, res))
     total = 0.0
     for r, w, inner in zip(rule.nodes, rule.weights, inners):
         total += w * inner * float(params.radial_extra_factor(r)) * r ** (f.dim - 1)

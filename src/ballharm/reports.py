@@ -9,7 +9,22 @@ produced from identical inputs are byte-identical.
 import json
 import math
 
-__all__ = ["dumps", "loads", "dump_to", "load_from"]
+from . import __version__
+
+__all__ = ["envelope", "dumps", "loads", "dump_to", "load_from"]
+
+
+def envelope(command, parameters, values, tolerances, verdicts, seed):
+    """The layout shared by every command's report."""
+    return {
+        "command": command,
+        "version": __version__,
+        "seed": seed,
+        "parameters": parameters,
+        "tolerances": tolerances,
+        "values": values,
+        "verdicts": verdicts,
+    }
 
 
 def _fmt_float(x):

@@ -11,13 +11,16 @@ the asymptotic (fitted) checks; identity checks keep their tolerances.
 """
 
 import math
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 from . import reports
-from .expansion import KernelSpec, poisson, sph_dim, tail_degree
+from .cli import main as cli_main
+from .expansion import HarmonicExpansion, KernelSpec, _basis_matrix, poisson, sph_dim, tail_degree
 from .lemmas import (
     check_lemma1,
     check_lemma2,
@@ -26,13 +29,14 @@ from .lemmas import (
     check_lemma6,
 )
 from .multipliers import (
+    _CURVE_CACHE,
     DEFAULT_SEED,
     TheoremParams,
     condition2_sup,
     equivalence_verdict,
     probe_operator_norm,
 )
-from .quadrature import mean_norm, sphere_rule
+from .quadrature import _q_means, sphere_rule
 from ._zonalseries import zonal_series_values
 
 
@@ -53,8 +57,6 @@ def criterion_lemma4(fast=False, seed=DEFAULT_SEED):
 
 
 def criterion_orthonormality(fast=False, seed=DEFAULT_SEED):
-    from .expansion import _basis_matrix
-
     deg = 10 if fast else 16
     worst = 0.0
     for n in (2, 3):
@@ -72,8 +74,6 @@ def criterion_orthonormality(fast=False, seed=DEFAULT_SEED):
 
 
 def criterion_parseval(fast=False, seed=DEFAULT_SEED):
-    from .expansion import HarmonicExpansion
-
     rng = np.random.default_rng(seed)
     draws = 6 if fast else 20
     K = 16
@@ -83,8 +83,9 @@ def criterion_parseval(fast=False, seed=DEFAULT_SEED):
         for _ in range(draws):
             blocks = [rng.standard_normal(sph_dim(n, k)) for k in range(K + 1)]
             f = HarmonicExpansion(n, "full", blocks)
-            for r in (0.3, 0.7, 0.95):
-                m2sq = mean_norm(f, 2.0, r, rule) ** 2
+            radii = (0.3, 0.7, 0.95)
+            for r, m2 in zip(radii, _q_means(f, 2.0, radii, rule).tolist()):
+                m2sq = m2**2
                 coeff = sum(
                     r ** (2 * k) * float((blocks[k] ** 2).sum()) for k in range(K + 1)
                 )
@@ -206,12 +207,6 @@ def _theorem_cell(mult_spec, p, alpha, beta, m, dim, j_top, probe_levels, seed):
 def criterion_theorem_identity(fast=False, seed=DEFAULT_SEED):
     """Every cell goes through the command-line entry point; its exit code
     is part of the criterion."""
-    import os
-    import tempfile
-
-    from . import reports
-    from .cli import main as cli_main
-
     j_top = 8 if fast else 10
     exp_tol = 0.2 if fast else 0.1
     grid = (0.25, 0.5, 0.75)
@@ -313,8 +308,6 @@ def criterion_theorem_powerlaw(fast=False, seed=DEFAULT_SEED):
 def criterion_determinism(fast=False, seed=DEFAULT_SEED):
     """Re-render a representative report twice from scratch, clearing the
     value caches in between so the whole numeric stack actually reruns."""
-    from .multipliers import _CURVE_CACHE
-
     params = TheoremParams(p=1.0, alpha=0.5, beta=0.25, m=2.0, dim=3)
     texts = []
     for _ in range(2):
@@ -376,15 +369,9 @@ def run_all(fast=False, seed=DEFAULT_SEED, echo=print):
         brief = ", ".join(f"{k}={_short(v)}" for k, v in list(detail.items())[:3])
         echo(f"criterion {res['id']:02d} {res['name']}: {status}" + (f" ({brief})" if brief else ""))
         print(f"  [{res['name']}: {dt:.1f}s]", file=sys.stderr)
-    report = {
-        "command": "selftest",
-        "version": _version(),
-        "seed": seed,
-        "parameters": {"fast": fast},
-        "tolerances": {},
-        "values": {"criteria": results},
-        "verdicts": {"all_pass": all_pass},
-    }
+    report = reports.envelope(
+        "selftest", {"fast": fast}, {"criteria": results}, {}, {"all_pass": all_pass}, seed
+    )
     return all_pass, report
 
 
@@ -392,9 +379,3 @@ def _short(v):
     if isinstance(v, float):
         return f"{v:.3g}"
     return str(v)
-
-
-def _version():
-    from . import __version__
-
-    return __version__

@@ -105,7 +105,7 @@ def test_lemma3_reproducing_special_case():
     y /= np.linalg.norm(y)
     rule = sphere_rule(n, 4 * degree + 4)
     r = 0.7
-    left = _sphere_pairing(_poisson_convolution(ones, y), f, r, rule)
+    left = _sphere_pairing(_poisson_convolution(ones, y), f, [r], rule)[0]
     assert left == pytest.approx(evaluate(f, r * r, y), rel=1e-10)
 
 
@@ -224,11 +224,10 @@ def test_lemma6_matches_lemma3_for_ones():
     rule = sphere_rule(n, 4 * degree + 4)
     r = 0.6
     gp = _poisson_convolution(ones, y)
-    left = _sphere_pairing(gp, f, r, rule)
+    left = _sphere_pairing(gp, f, [r], rule)[0]
     radial = radial_rule(0.0, degree + m + n + 2)
     R, wR = radial.nodes, radial.weights
-    lam_gp = frac_derivative(gp, m)
-    inner = np.array([_sphere_pairing(lam_gp, f, r * Ri, rule) for Ri in R])
+    inner = np.array(_sphere_pairing(frac_derivative(gp, m), f, r * R, rule))
     right = 2.0 * float((wR * inner * (1 - R**2) ** m * R ** (n - 1)).sum())
     target = evaluate(f, r * r, y)
     assert left == pytest.approx(target, rel=1e-10)
@@ -247,7 +246,7 @@ def test_lemma6_constants_chain():
     rule = sphere_rule(n, 8)
     y = np.array([0.0, 0.0, 1.0])
     gp = _poisson_convolution(g, y)
-    left = _sphere_pairing(gp, f, 0.5, rule)
+    left = _sphere_pairing(gp, f, [0.5], rule)[0]
     assert left == pytest.approx(6.0, rel=1e-12)
     radial = radial_rule(0.0, m + n + 2)
     R, wR = radial.nodes, radial.weights

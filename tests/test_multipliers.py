@@ -226,6 +226,15 @@ def test_condition2_identity_verdicts():
     assert bnd.phi_exponent == pytest.approx(-0.25, abs=0.05)
 
 
+def test_condition2_sup_off_ladder_levels_are_computed():
+    # 3.3 lies between ladder radii and 4.3 beyond the deepest one; neither
+    # is read off the interpolant
+    params = TheoremParams(1.0, 0.5, 0.25, 2.0, 3)
+    rep = condition2_sup("ones", params, j_levels=[3, 3.3, 4, 4.3])
+    for i in (1, 3):
+        assert rep.raw_integrals[i] == condition2_integral("ones", params, rep.rho_grid[i])
+
+
 def test_condition2_grid_validation():
     with pytest.raises(DomainError):
         condition2_sup("ones", params_for(), j_levels=[3, 4, 15])

@@ -17,7 +17,9 @@ from ballharm import (
     zonal,
     zonal_sphere_integral,
 )
-from ballharm.expansion import _basis_matrix
+from ballharm import expansion
+from ballharm.expansion import _basis_matrix, _per_entry
+from ballharm.quadrature import _direct_pnorm, _power_profile
 
 E2 = np.array([1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -199,6 +201,43 @@ def test_mean_norm_domain():
         mean_norm(f, 1.0, 0.5, sphere_rule(3, 8))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_power_profile_full_equals_per_radius_loop(n):
+    rng = np.random.default_rng(16)
+    K = 6
+    f = HarmonicExpansion(n, "full", [rng.standard_normal(sph_dim(n, k)) for k in range(K + 1)])
+    rule = sphere_rule(n, 16)
+    radii = radial_rule(0.5, 12).nodes
+    coeffs = np.concatenate(f.coeffs)
+    for q in (0.5, 1.0, 2.0):
+        # reference: the per-radius evaluation the profile replaced, which
+        # built the basis at the rule nodes again for every radius
+        reference = []
+        for r in radii:
+            vals = _basis_matrix(n, K, rule.nodes) @ (
+                coeffs * _per_entry(f.coeffs, r ** np.arange(K + 1, dtype=float))
+            )
+            reference.append(float((rule.weights * np.abs(vals) ** q).sum()))
+        assert _power_profile(f, q, radii, rule).tolist() == reference
+
+
+def test_full_norms_build_one_basis_per_level(monkeypatch):
+    built = []
+    original = expansion._basis_matrix
+
+    def counting(*args):
+        built.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(expansion, "_basis_matrix", counting)
+    rng = np.random.default_rng(17)
+    f = HarmonicExpansion(3, "full", [rng.standard_normal(sph_dim(3, k)) for k in range(5)])
+    mixed_norm(f, SpaceParams(p=1.0, q=2.0, alpha=0.5))
+    assert len(built) <= 2
+    _direct_pnorm(f, SpaceParams(p=2.0, q=2.0, alpha=0.5), 96, 24)
+    assert len(built) <= 3
+
+
 # ---------------------------------------------------------------------------
 # mixed norms
 # ---------------------------------------------------------------------------
@@ -234,8 +273,6 @@ def test_mixed_norm_homogeneous():
 
 
 def test_mixed_norm_pq_collapse_matches_direct():
-    from ballharm.quadrature import _direct_pnorm
-
     rng = np.random.default_rng(13)
     for n, kind in ((2, "full"), (3, "zonal")):
         if kind == "full":

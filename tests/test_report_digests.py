@@ -29,6 +29,8 @@ ZONAL = {"dim": 3, "kind": "zonal", "pole": [0.0, 0.0, 1.0],
          "coeffs": [1.0, 0.5, -0.25, 0.125, -0.0625]}
 FULL = {"dim": 2, "kind": "full",
         "coeffs": [[1.0], [0.5, -0.25], [0.125, 0.375], [-0.0625, 0.25]]}
+FULL3 = {"dim": 3, "kind": "full",
+         "coeffs": [[1.0], [0.5, -0.25, 0.75], [0.125, 0.375, -0.5, 0.25, 0.0625]]}
 NORM = ["norm", "--p", "2", "--q", "2", "--alpha", "0.5"]
 
 CASES = {
@@ -36,11 +38,19 @@ CASES = {
                    "2383015adfbcf7183ee5fa0cf52c585525fbed65bb6659b734550ebb8d23bf73"),
     "norm-full": (NORM + ["--input", "full.json"], 0,
                   "c844e0f98ad5d9b848f2211ac77aea457fcdca13c17de22639db64255ccca606"),
+    "norm-full3": (NORM + ["--input", "full3.json"], 0,
+                   "6ce722b395c78fc4999cf66d7e2d288e723400132b483c4606e21b89e3697682"),
     "mult-check-ones": (["mult-check", "--alpha", "0.5", "--beta", "0.25",
                          "--multiplier", "ones", "--rho-levels", "6"], 0,
                         "c68ca79771c8dd662c0172aad64f6257e9e31d8a36b66c97c6a0e6c882150642"),
     "lemma-4": (["lemma", "--id", "4"], 0,
                 "b08bdd770c738afaec22034670d698f74fb12e851a2da69b85420f9e17628b69"),
+    "lemma-5": (["lemma", "--id", "5"], 0,
+                "130e3379150a69362d32f30c4c2d2c7bf14e91dae35bf113d72440847324ffdb"),
+    "lemma-3-fast": (["lemma", "--id", "3", "--fast"], 0,
+                     "7a9958c804afd11f555e41f572e896ba0a1cc6942401c6853178e740daaf3190"),
+    "lemma-6-fast": (["lemma", "--id", "6", "--fast"], 0,
+                     "2c956dc9d199ba7c84d5aa7f8697f31f498209e62c10cdd77da4177562086c2c"),
 }
 
 
@@ -60,6 +70,7 @@ def test_report_digest_pinned(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "zonal.json").write_text(json.dumps(ZONAL))
     (tmp_path / "full.json").write_text(json.dumps(FULL))
+    (tmp_path / "full3.json").write_text(json.dumps(FULL3))
     assert main(argv + ["--out", "report.json"]) == code
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
