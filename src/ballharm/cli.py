@@ -193,6 +193,11 @@ def cmd_kernel(args):
     kind = "poisson" if args.m is None else f"q_kernel(m={args.m:g})"
     values = {"kind": kind, "max_degree": K}
     if args.eval_r is not None:
+        # the tail bound guarantees --tol only inside |x| <= r_max
+        if args.max_degree is None and not 0.0 <= args.eval_r <= args.r_max:
+            raise UsageError(f"--eval-r {args.eval_r} lies outside [0, r_max = {args.r_max:g}]")
+        if not 0.0 <= args.eval_r < 1.0:
+            raise UsageError(f"--eval-r {args.eval_r} lies outside [0, 1)")
         t = args.eval_t if args.eval_t is not None else 1.0
         rk = args.eval_r ** np.arange(K + 1, dtype=float)
         values["value"] = float(zonal_series_values(args.dim, kernel.coeffs * rk, t))

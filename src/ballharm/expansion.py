@@ -65,15 +65,23 @@ __all__ = [
 DEGREE_CAP = 2048
 
 
+def _frozen_floats(values, what):
+    """A read-only float copy of values."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must hold numbers only") from None
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_unit_vector(pole, dim, what="pole"):
-    pole = np.asarray(pole, dtype=float)
+    pole = _frozen_floats(pole, what)
     if pole.shape != (dim,):
         raise DomainError(f"{what} must be a vector of length {dim}")
     norm = float(np.linalg.norm(pole))
     if not abs(norm - 1.0) <= 1e-12:  # also rejects a NaN pole
         raise DomainError(f"{what} must be a unit vector, |{what}| = {norm!r}")
-    pole = pole.copy()
-    pole.flags.writeable = False
     return pole
 
 
@@ -83,13 +91,13 @@ _SEQUENCE = (list, tuple, np.ndarray)
 def _validate_blocks(dim, kind, coeffs):
     """Coerce coefficients to the canonical layout and check block lengths."""
     if kind == "zonal":
-        arr = np.asarray(coeffs, dtype=float)
+        if not isinstance(coeffs, _SEQUENCE):
+            raise DomainError("zonal coefficients must be a nonempty flat sequence")
+        arr = _frozen_floats(coeffs, "zonal coefficients")
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("zonal coefficients must be a nonempty flat sequence")
         if not np.all(np.isfinite(arr)):
             raise DomainError("zonal coefficients must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
         return arr
     if kind == "full":
         if dim not in (2, 3):
@@ -102,7 +110,7 @@ def _validate_blocks(dim, kind, coeffs):
         for k, block in enumerate(coeffs):
             if not isinstance(block, _SEQUENCE):
                 raise DomainError(f"block {k} must be a sequence of d_{k} coefficients")
-            arr = np.asarray(block, dtype=float)
+            arr = _frozen_floats(block, f"block {k}")
             d_k = sph_dim(dim, k)
             if arr.shape != (d_k,):
                 raise DomainError(
@@ -110,8 +118,6 @@ def _validate_blocks(dim, kind, coeffs):
                 )
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"block {k} has non-finite coefficients")
-            arr = arr.copy()
-            arr.flags.writeable = False
             blocks.append(arr)
         if not blocks:
             raise DomainError("full coefficients must contain at least block 0")
@@ -494,9 +500,16 @@ def save_expansion(f, path):
 
 
 def _require_fields(payload, what):
+    """Check the fields every coefficient file has; return its integer dim."""
+    if not isinstance(payload, dict):
+        raise DomainError(f"{what} file must hold a JSON object")
     for key in ("dim", "kind", "coeffs"):
         if key not in payload:
             raise DomainError(f"{what} file is missing the field {key!r}")
+    dim = payload["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise DomainError(f"{what} file field 'dim' must be an integer, got {dim!r}")
+    return dim
 
 
 def load_expansion(path):
@@ -505,12 +518,12 @@ def load_expansion(path):
 
 
 def expansion_from_payload(payload):
-    _require_fields(payload, "coefficient")
+    dim = _require_fields(payload, "coefficient")
     kind = payload["kind"]
     pole = payload.get("pole")
     if kind == "zonal" and pole is None:
         raise DomainError("coefficient file with kind 'zonal' is missing the field 'pole'")
-    return HarmonicExpansion(int(payload["dim"]), kind, payload["coeffs"], pole)
+    return HarmonicExpansion(dim, kind, payload["coeffs"], pole)
 
 
 def save_multiplier(c, path):
@@ -520,5 +533,5 @@ def save_multiplier(c, path):
 
 def load_multiplier(path):
     payload = reports.load_from(path)
-    _require_fields(payload, "multiplier")
-    return MultiplierSequence(int(payload["dim"]), payload["kind"], payload["coeffs"])
+    dim = _require_fields(payload, "multiplier")
+    return MultiplierSequence(dim, payload["kind"], payload["coeffs"])

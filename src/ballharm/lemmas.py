@@ -36,7 +36,7 @@ from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, UsageError
 from .expansion import HarmonicExpansion, _basis_block, _radial_values, frac_derivative, sph_dim
-from .multipliers import DEFAULT_SEED, _family_ones, _fit_window, _growth_integral
+from .multipliers import DEFAULT_SEED, _family_ones, _fit_window, _growth_curve
 from .quadrature import _q_means, _settle_by_doubling, radial_rule, sphere_rule
 from .specfun import _log_lambda_coeff, _sph_dim_array
 from ._zonalseries import zonal_series_values
@@ -168,8 +168,8 @@ def check_lemma1(n, beta, grid=None, slack=1.05):
     # integrated consequence: growth exponent of int |Q_beta| in 1/(1 - s)
     js = np.arange(2.0, 8.5, 1.0)
     svals = 1.0 - 2.0 ** (-js)
-    ones = _family_ones()
-    ints = [2.0 * _growth_integral(n, beta, ones, s, rtol=1e-8) for s in svals]
+    curve = _growth_curve(n, beta, _family_ones(), rtol=1e-8)
+    ints = [2.0 * curve.exact(s) for s in svals]
     slope = float(np.polyfit(js * math.log(2.0), np.log(ints), 1)[0])
 
     passed = margin <= slack and slope <= 1.0 + beta + 0.1

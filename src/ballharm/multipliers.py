@@ -25,6 +25,11 @@ Two independent procedures are provided and cross-checked:
 
 ``equivalence_verdict`` renders PASS when the two verdicts agree.
 
+Both read one growth function per (n, m, family, rtol), kept for the life
+of the process (``_growth_curve``): each I(s) is computed once, at s itself.
+``condition2_sup`` reads those values at its grid radii; the qm-kernel
+probe reads a log-log spline through them, built once per ladder depth.
+
 Boundedness decisions use fixed documented thresholds: the criterion slope
 threshold 0.02 with a 1% non-increase test on the last three Phi values,
 and the probe slope threshold 0.05.  Exponent fits use the deepest
@@ -143,18 +148,6 @@ def _family_ones():
     return ZonalFamily("ones", ("ones",), None, lambda k: np.ones_like(k))
 
 
-def _family_powerlaw(t):
-    return ZonalFamily(
-        f"powerlaw:{t:g}", ("powerlaw", float(t)), None, lambda k: (k + 1.0) ** (-t)
-    )
-
-
-def _family_finite(K):
-    return ZonalFamily(
-        f"finite:{K}", ("finite", int(K)), int(K), lambda k: (k <= K).astype(float)
-    )
-
-
 def _family_from_values(values, name="sequence"):
     values = np.asarray(values, dtype=float)
     key = ("seq",) + tuple(float(v) for v in values)
@@ -162,10 +155,7 @@ def _family_from_values(values, name="sequence"):
 
     def fn(k):
         k_int = k.astype(int)
-        out = np.zeros_like(k)
-        inside = k_int <= Kf
-        out[inside] = values[k_int[inside]]
-        return out
+        return np.where(k_int <= Kf, values[np.minimum(k_int, Kf)], 0.0)
 
     return ZonalFamily(name, key, Kf, fn)
 
@@ -181,7 +171,7 @@ def multiplier_family(spec):
             raise DomainError(f"bad power-law exponent in {spec!r}") from None
         if t < 0:
             raise DomainError("power-law family requires a nonnegative exponent")
-        return _family_powerlaw(t)
+        return ZonalFamily(f"powerlaw:{t:g}", ("powerlaw", t), None, lambda k: (k + 1.0) ** (-t))
     if spec.startswith("finite:"):
         try:
             K = int(spec.split(":", 1)[1])
@@ -189,7 +179,7 @@ def multiplier_family(spec):
             raise DomainError(f"bad cutoff degree in {spec!r}") from None
         if K < 0:
             raise DomainError("finite family requires a nonnegative degree")
-        return _family_finite(K)
+        return ZonalFamily(f"finite:{K}", ("finite", K), K, lambda k: (k <= K).astype(float))
     raise DomainError(f"unknown multiplier family {spec!r}")
 
 
@@ -263,65 +253,56 @@ def _growth_integral(n, m, family, s, rtol=1e-7):
 
 
 class _GrowthCurve:
-    """I(s) sampled on a ladder of radii accumulating at 1, with a smooth
-    log-log interpolant for radial quadrature between the samples.  Radii
-    below the ladder, and off-ladder radii asked for exactly, are computed
-    once each and kept."""
+    """I(s) for one (n, m, family, rtol).  ``exact`` computes each I(s) once,
+    at s itself.  ``at`` reads a smooth log-log interpolant through the
+    ladder 1 - s = 2^-j (j = 0.25..1.75 by quarters, then 2..J by halves),
+    built once per depth J from ``exact`` values; radii below the ladder
+    are read from ``exact``."""
 
-    def __init__(self, n, m, family, j_deepest, rtol=1e-7):
-        js = np.concatenate(
-            [np.arange(0.25, 2.0, 0.25), np.arange(2.0, j_deepest + 1e-9, 0.5)]
-        )
-        self.s_nodes = 1.0 - 2.0 ** (-js)
+    def __init__(self, n, m, family, rtol):
         self.n, self.m, self.family, self.rtol = n, m, family, rtol
-        self.values = np.array(
-            [_growth_integral(n, m, family, s, rtol) for s in self.s_nodes]
-        )
-        self._xi = -np.log1p(-self.s_nodes)
-        if np.all(self.values > 0.0):
-            self._spline = CubicSpline(self._xi, np.log(self.values))
-            self._log_interp = True
-        else:
-            self._spline = None
-            self._log_interp = False
         self._exact = {}
-
-    def at(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        low = s < self.s_nodes[0]
-        for idx in np.nonzero(low)[0]:
-            out[idx] = self.exact(float(s[idx]))
-        if np.any(~low):
-            xi = -np.log1p(-s[~low])
-            if self._log_interp:
-                out[~low] = np.exp(self._spline(xi))
-            else:
-                out[~low] = np.interp(xi, self._xi, self.values)
-        return out
+        self._ladders = {}
 
     def exact(self, s):
         """I(s) computed at s itself, not interpolated."""
+        s = float(s)
         if s not in self._exact:
             self._exact[s] = _growth_integral(self.n, self.m, self.family, s, self.rtol)
         return self._exact[s]
 
-    def node_value(self, s):
-        """Exact value at s: the ladder sample when s is a ladder radius
-        (1 - s a power of 2^-1/2), otherwise computed."""
-        idx = np.argmin(np.abs(self.s_nodes - s))
-        if abs(self.s_nodes[idx] - s) > 1e-13:
-            return self.exact(float(s))
-        return float(self.values[idx])
+    def at(self, s, j_deepest):
+        """I(s), interpolated through the ladder up to depth j_deepest."""
+        if j_deepest not in self._ladders:
+            js = np.concatenate(
+                [np.arange(0.25, 2.0, 0.25), np.arange(2.0, j_deepest + 1e-9, 0.5)]
+            )
+            s_nodes = 1.0 - 2.0 ** (-js)
+            xi = -np.log1p(-s_nodes)
+            values = np.array([self.exact(node) for node in s_nodes])
+            # log-log spline unless some value is not positive
+            spline = CubicSpline(xi, np.log(values)) if np.all(values > 0.0) else None
+            self._ladders[j_deepest] = (s_nodes[0], xi, values, spline)
+        s_first, xi, values, spline = self._ladders[j_deepest]
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        out = np.empty_like(s)
+        low = s < s_first
+        for idx in np.nonzero(low)[0]:
+            out[idx] = self.exact(s[idx])
+        if np.any(~low):
+            x = -np.log1p(-s[~low])
+            out[~low] = np.exp(spline(x)) if spline is not None else np.interp(x, xi, values)
+        return out
 
 
+# one curve per (n, m, family, rtol), for the life of the process
 _CURVE_CACHE = {}
 
 
-def _growth_curve(n, m, family, j_deepest, rtol=1e-7):
-    key = (n, float(m), family.key, float(j_deepest), float(rtol))
+def _growth_curve(n, m, family, rtol=1e-7):
+    key = (n, float(m), family.key, float(rtol))
     if key not in _CURVE_CACHE:
-        _CURVE_CACHE[key] = _GrowthCurve(n, m, family, j_deepest, rtol)
+        _CURVE_CACHE[key] = _GrowthCurve(n, m, family, rtol)
     return _CURVE_CACHE[key]
 
 
@@ -426,7 +407,7 @@ def condition2_integral(g, params, rho, direction=None, resolution=None, rtol=1e
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     fam = _coerce_zonal_family(g)
     if fam is not None:
-        return _growth_integral(params.dim, params.m, fam, rho, rtol)
+        return _growth_curve(params.dim, params.m, fam, rtol).exact(rho)
     if params.dim not in (2, 3):
         raise DomainError("full-kind multipliers are supported for dim 2 and 3")
     if direction is None:
@@ -457,8 +438,8 @@ def condition2_sup(g, params, j_levels=None, rtol=1e-7, direction_count=None):
     fam = _coerce_zonal_family(g)
     if fam is not None:
         name = fam.name
-        curve = _growth_curve(params.dim, params.m, fam, max(j_levels), rtol)
-        raw = [curve.node_value(r) for r in rhos]
+        curve = _growth_curve(params.dim, params.m, fam, rtol)
+        raw = [curve.exact(r) for r in rhos]
     else:
         name = "full-multiplier"
         count = direction_count or (128 if params.dim == 2 else 64)
@@ -570,13 +551,13 @@ def probe_operator_norm(c, params, family="qm_kernels", sizes=None, seed=DEFAULT
         if any(not 0.0 < s < 1.0 for s in radii):
             raise DomainError("qm_kernels sizes are boundary radii in (0, 1)")
         j_deep = max(-math.log2(1.0 - s) for s in radii)
-        num_curve = _growth_curve(n, m, fam, j_deep)
-        den_curve = _growth_curve(n, m, _family_ones(), j_deep)
+        num_curve = _growth_curve(n, m, fam)
+        den_curve = _growth_curve(n, m, _family_ones())
         ratios = []
         for s in radii:
             # probe f = Q_m at |y| = s: M_1(c f, r) = 2 I_c(r s)
-            num = _radial_power_norm(lambda r: 2.0 * num_curve.at(r * s), p, num_exp, n)
-            den = _radial_power_norm(lambda r: 2.0 * den_curve.at(r * s), p, den_exp, n)
+            num = _radial_power_norm(lambda r: 2.0 * num_curve.at(r * s, j_deep), p, num_exp, n)
+            den = _radial_power_norm(lambda r: 2.0 * den_curve.at(r * s, j_deep), p, den_exp, n)
             ratios.append(num / den)
         x = [-math.log(1.0 - s) for s in radii]
     elif family == "random_polynomials":

@@ -73,6 +73,32 @@ def test_mult_check_infinite_multiplier_exits_2(tmp_path, capsys):
     assert "sequence of blocks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["norm", "mult-check"])
+@pytest.mark.parametrize(
+    "text,what",
+    [
+        ('{"dim": null, "kind": "zonal", "pole": [0.0, 0.0, 1.0], "coeffs": [1.0]}',
+         "'dim' must be an integer"),
+        ('{"dim": 3.7, "kind": "zonal", "pole": [0.0, 0.0, 1.0], "coeffs": [1.0]}',
+         "'dim' must be an integer"),
+        ('{"dim": 3, "kind": "zonal", "pole": [0.0, 0.0, 1.0], "coeffs": {"0": 1}}',
+         "flat sequence"),
+        ('{"dim": 3, "kind": "zonal", "pole": [0.0, 0.0, 1.0], "coeffs": [1.0, {"a": 1}]}',
+         "numbers only"),
+        ("5", "JSON object"),
+    ],
+)
+def test_malformed_file_exits_2(command, text, what, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "norm":
+        argv = ["norm", "--input", str(bad)]
+    else:
+        argv = ["mult-check", "--alpha", "0.5", "--beta", "0.25", "--multiplier", str(bad)]
+    assert main(argv) == 2
+    assert what in capsys.readouterr().err
+
+
 def test_norm_missing_file_exits_2(tmp_path):
     assert main(["norm", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -119,6 +145,22 @@ def test_kernel_eval_poisson_closed_form(capsys, tmp_path):
     text = capsys.readouterr().out
     payload = reports.loads(text[text.index("{"):])
     assert payload["values"]["value"] == pytest.approx(3.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("eval_r", ["0.95", "1.5", "-0.1"])
+def test_kernel_eval_outside_tail_bound_radius_exits_2(eval_r, capsys):
+    # the tail-bound degree guarantees --tol only for |x| <= r_max
+    argv = ["kernel", "--dim", "3", "--m", "2", "--r-max", "0.9", "--eval-r", eval_r]
+    assert main(argv) == 2
+    assert "r_max" in capsys.readouterr().err
+    assert main(argv[:-1] + ["0.9"]) == 0
+
+
+@pytest.mark.parametrize("eval_r,code", [("0.95", 0), ("1.0", 2), ("1.5", 2), ("-0.1", 2)])
+def test_kernel_eval_with_max_degree_needs_unit_ball(eval_r, code):
+    argv = ["kernel", "--dim", "3", "--m", "2", "--r-max", "0.9", "--max-degree", "10",
+            "--eval-r", eval_r]
+    assert main(argv) == code
 
 
 def test_lemma_command(tmp_path):

@@ -14,8 +14,10 @@ from ballharm import (
     equivalence_verdict,
     multiplier_family,
     probe_operator_norm,
+    reports,
     sph_dim,
 )
+from ballharm import multipliers
 from ballharm.multipliers import _CURVE_CACHE, _direction_design, _family_from_values, _fit_window
 from ballharm.expansion import _basis_matrix
 from ballharm.quadrature import sphere_rule
@@ -333,6 +335,41 @@ def test_reports_reproducible_after_cache_clear():
     second = condition2_sup("ones", p, j_levels=list(range(3, 8)))
     assert first.raw_integrals == second.raw_integrals
     assert first.fitted_exponent == second.fitted_exponent
+
+
+def _count_growth_integrals(monkeypatch):
+    """Record (family key, s) of every growth integral computed."""
+    seen = []
+    inner = multipliers._growth_integral
+
+    def counted(n, m, family, s, rtol=1e-7):
+        seen.append((family.key, s))
+        return inner(n, m, family, s, rtol)
+
+    monkeypatch.setattr(multipliers, "_growth_integral", counted)
+    return seen
+
+
+def test_condition2_computes_only_its_grid_and_probe_reuses_it(monkeypatch):
+    params = params_for()
+    _CURVE_CACHE.clear()
+    seen = _count_growth_integrals(monkeypatch)
+    condition2_sup("powerlaw:0.5", params, j_levels=range(3, 9))
+    assert len(seen) == 6
+    probe_operator_norm("powerlaw:0.5", params, sizes=[1.0 - 2.0 ** (-j) for j in range(3, 8)])
+    assert len(seen) == len(set(seen))
+    _CURVE_CACHE.clear()
+
+
+def test_condition2_after_probe_equals_cold_condition2():
+    params = params_for()
+    _CURVE_CACHE.clear()
+    probe_operator_norm("powerlaw:0.5", params, sizes=[1.0 - 2.0 ** (-j) for j in range(3, 8)])
+    warm = reports.dumps(condition2_sup("powerlaw:0.5", params, j_levels=range(3, 9)).to_payload())
+    _CURVE_CACHE.clear()
+    cold = reports.dumps(condition2_sup("powerlaw:0.5", params, j_levels=range(3, 9)).to_payload())
+    _CURVE_CACHE.clear()
+    assert warm == cold
 
 
 def test_sequence_family_padding_is_zero():

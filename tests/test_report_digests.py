@@ -31,6 +31,8 @@ FULL = {"dim": 2, "kind": "full",
         "coeffs": [[1.0], [0.5, -0.25], [0.125, 0.375], [-0.0625, 0.25]]}
 FULL3 = {"dim": 3, "kind": "full",
          "coeffs": [[1.0], [0.5, -0.25, 0.75], [0.125, 0.375, -0.5, 0.25, 0.0625]]}
+ZONAL_MULT = {"dim": 3, "kind": "zonal", "coeffs": [1.0, 0.5, -0.25, 0.125, -0.0625]}
+MULT_CHECK = ["mult-check", "--alpha", "0.5", "--beta", "0.25", "--rho-levels", "6"]
 NORM = ["norm", "--p", "2", "--q", "2", "--alpha", "0.5"]
 
 CASES = {
@@ -43,6 +45,12 @@ CASES = {
     "mult-check-ones": (["mult-check", "--alpha", "0.5", "--beta", "0.25",
                          "--multiplier", "ones", "--rho-levels", "6"], 0,
                         "c68ca79771c8dd662c0172aad64f6257e9e31d8a36b66c97c6a0e6c882150642"),
+    # numerator and denominator growth curves differ
+    "mult-check-powerlaw": (MULT_CHECK + ["--multiplier", "powerlaw:0.5"], 0,
+                            "3391e3cd14d1cf27a7d3e0673f7461f43f1c1e9538fc0dcd9236b633d1228fd2"),
+    # a multiplier file: the curve is keyed by the coefficient values
+    "mult-check-file": (MULT_CHECK + ["--multiplier", "zm.json"], 0,
+                        "6ce8396757a56e36eccf018ee976c9ce7ef1359062450e50712e81762eea3e51"),
     "lemma-4": (["lemma", "--id", "4"], 0,
                 "b08bdd770c738afaec22034670d698f74fb12e851a2da69b85420f9e17628b69"),
     "lemma-5": (["lemma", "--id", "5"], 0,
@@ -71,6 +79,7 @@ def test_report_digest_pinned(name, tmp_path, monkeypatch):
     (tmp_path / "zonal.json").write_text(json.dumps(ZONAL))
     (tmp_path / "full.json").write_text(json.dumps(FULL))
     (tmp_path / "full3.json").write_text(json.dumps(FULL3))
+    (tmp_path / "zm.json").write_text(json.dumps(ZONAL_MULT))
     assert main(argv + ["--out", "report.json"]) == code
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
