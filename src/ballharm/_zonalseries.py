@@ -7,17 +7,13 @@ to u_k(1) = 1 keeps every recurrence intermediate in [-1, 1], so series
 with tens of thousands of terms evaluate stably.
 
 The other primitive here is the normalized surface integral of |G|^q.
-Kernel-type series (Poisson and its fractional derivatives) concentrate in
-a peak of angular width ~(1 - s) at t = 1 with an algebraically decaying,
-finitely-oscillating tail, so a geometrically graded panel mesh refined
-toward theta = 0 plus adaptive bisection of the few panels containing sign
-changes resolves the integrand at any depth actually reachable in double
-precision.
-
-A numba-compiled recurrence kernel is used when numba is importable; the
-buffered numpy fallback computes identical mathematics.  The test suite
-cross-checks the two paths only where numba is installed: without numba
-that test is skipped and only the numpy path runs.
+Kernel-type integrands (Poisson and its fractional derivatives) concentrate
+in a peak of angular width ~(1 - s) at theta = 0 with an algebraically
+decaying, finitely-oscillating tail, so a geometrically graded panel mesh
+refined toward theta = 0 plus adaptive bisection of the few panels
+containing sign changes resolves the integrand at any depth actually
+reachable in double precision.  ``_abs_power_mean`` integrates any such
+integrand of theta; ``zonal_abs_power_mean`` feeds it the series.
 """
 
 import math
@@ -28,36 +24,13 @@ from scipy.special import gammaln
 from .errors import AccuracyError, DomainError
 from .specfun import _gauss_jacobi, _sph_dim_array
 
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    @njit(cache=True)
-    def _series_sum_kernel(w, lam, t):
-        out = np.empty(t.size)
-        K = w.size - 1
-        for i in range(t.size):
-            ti = t[i]
-            u_prev = 1.0
-            acc = w[0]
-            if K >= 1:
-                u = ti
-                acc += w[1] * u
-                for k in range(2, K + 1):
-                    u_next = (2.0 * ti * (k + lam - 1.0) * u - (k - 1.0) * u_prev) / (
-                        k + 2.0 * lam - 1.0
-                    )
-                    u_prev = u
-                    u = u_next
-                    acc += w[k] * u
-            out[i] = acc
-        return out
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
+_HAVE_NUMBA = False  # read by the benchmark's run metadata
+_MAX_ROUNDS = 48  # bisection rounds of ``_abs_power_mean`` before it gives up
 
 
-def _series_sum_numpy(w, lam, t):
+def _series_sum(w, lam, t):
+    """sum_k w[k] u_k(t) with u_k the Gegenbauer polynomial of index lam
+    scaled to u_k(1) = 1 (Chebyshev T_k for lam = 0)."""
     K = w.size - 1
     u_prev = np.ones_like(t)
     acc = w[0] * u_prev
@@ -76,9 +49,6 @@ def _series_sum_numpy(w, lam, t):
         u = tmp.copy()
         acc += w[k] * u
     return acc
-
-
-_series_sum = _series_sum_kernel if _HAVE_NUMBA else _series_sum_numpy
 
 
 def zonal_series_values(dim, zcoeffs, t):
@@ -103,31 +73,21 @@ def sphere_density_constant(dim):
     return math.exp(gammaln(dim / 2.0) - 0.5 * math.log(math.pi) - gammaln((dim - 1) / 2.0))
 
 
-def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8, max_rounds=48):
-    """Normalized surface integral of |G|^power for a zonal series G.
+def _abs_power_mean(dim, G, delta, power, rtol):
+    """Normalized surface integral of |G|^power for a zonal integrand G.
 
-    Uses a geometric panel mesh in the polar angle, graded toward the pole
-    at the scale set by the coefficient decay, with panels adaptively
-    bisected until the 16- and 32-point Gauss values agree.  Deterministic:
-    identical inputs reproduce the result bit for bit on a given build.
+    ``G`` maps an array of polar angles theta to the integrand's values;
+    theta, not cos(theta), because inside a peak of width 1 - s a kernel
+    written through 1 - 2 s t + s^2 = (1 - s)^2 + 4 s sin^2(theta/2) keeps
+    full accuracy where 1 - cos(theta) cancels.  The mesh is [0, delta],
+    then doubling panels up to pi, bisected until the 16- and 32-point
+    Gauss values agree; non-finite 32-point values raise AccuracyError.
+    Deterministic: identical inputs give the same bits on a given build.
     """
-    if power <= 0:
-        raise DomainError(f"power must be positive, got {power}")
-    zcoeffs = np.ascontiguousarray(zcoeffs, dtype=float)
-    w = zcoeffs * _sph_dim_array(dim, zcoeffs.size - 1)
-    wmax = np.max(np.abs(w))
-    if wmax == 0.0:
-        return 0.0
-    # effective bandwidth sets the peak scale near theta = 0
-    sig = np.nonzero(np.abs(w) >= 1e-7 * wmax)[0]
-    k_eff = int(sig[-1]) if sig.size else 0
-    delta = min(max(0.25 / (k_eff + 2.0), 1e-9), 0.2)
-
     edges = [0.0, delta]
     while edges[-1] < math.pi:
         edges.append(min(edges[-1] * 2.0, math.pi))
     cn = sphere_density_constant(dim)
-    lam = (dim - 2) / 2.0
     x16, w16 = _gauss_jacobi(16, 0.0, 0.0)
     x32, w32 = _gauss_jacobi(32, 0.0, 0.0)
 
@@ -138,10 +98,8 @@ def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8, max_rounds=48):
         th16 = mid + half * x16[None, :]
         th32 = mid + half * x32[None, :]
         theta = np.concatenate([th16.ravel(), th32.ravel()])
-        tt = np.ascontiguousarray(np.cos(theta))
-        G = _series_sum(w, lam, tt)
         dens = cn * np.sin(theta) ** (dim - 2)
-        vals = np.abs(G) ** power * dens
+        vals = np.abs(G(theta)) ** power * dens
         n16 = th16.size
         v16 = vals[:n16].reshape(th16.shape)
         v32 = vals[n16:].reshape(th32.shape)
@@ -152,9 +110,19 @@ def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8, max_rounds=48):
     a = np.array(edges[:-1])
     b = np.array(edges[1:])
     accepted = []
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         i16, i32 = panel_integrals(a, b)
         scale = math.fsum(accepted) + float(np.abs(i32).sum())
+        # a non-finite value never converges, and its panels would double
+        # every round; a region where only i16 is non-finite soon puts
+        # 32-point nodes in it too
+        if not math.isfinite(scale):
+            raise AccuracyError(
+                "adaptive zonal integral met non-finite values",
+                float(i16.sum()),
+                float(i32.sum()),
+                rtol,
+            )
         tol_each = rtol * max(scale, 1e-300) / max(2 * a.size, 1)
         ok = np.abs(i32 - i16) <= tol_each
         accepted.extend(i32[ok].tolist())
@@ -173,3 +141,21 @@ def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8, max_rounds=48):
         rtol,
     )
 
+
+def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8):
+    """Normalized surface integral of |G|^power for a zonal series G, with
+    the mesh graded toward the pole at the scale of the coefficient decay."""
+    if power <= 0:
+        raise DomainError(f"power must be positive, got {power}")
+    zcoeffs = np.ascontiguousarray(zcoeffs, dtype=float)
+    w = zcoeffs * _sph_dim_array(dim, zcoeffs.size - 1)
+    wmax = np.max(np.abs(w))
+    if wmax == 0.0:
+        return 0.0
+    # effective bandwidth sets the peak scale near theta = 0
+    sig = np.nonzero(np.abs(w) >= 1e-7 * wmax)[0]
+    k_eff = int(sig[-1]) if sig.size else 0
+    delta = min(max(0.25 / (k_eff + 2.0), 1e-9), 0.2)
+    lam = (dim - 2) / 2.0
+    G = lambda theta: _series_sum(w, lam, np.ascontiguousarray(np.cos(theta)))
+    return _abs_power_mean(dim, G, delta, power, rtol)

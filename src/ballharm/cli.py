@@ -17,6 +17,7 @@ Exit codes: 0 success / verdicts agree, 2 usage or validation failure,
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -253,7 +254,8 @@ def _load_multiplier_arg(spec, dim):
     try:
         return multiplier_family(spec)
     except DomainError:
-        pass
+        if not os.path.isfile(spec):
+            raise
     mult = load_multiplier(spec)
     if mult.dim != dim:
         raise UsageError(

@@ -169,16 +169,18 @@ def multiplier_family(spec):
             t = float(spec.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"bad power-law exponent in {spec!r}") from None
-        if t < 0:
-            raise DomainError("power-law family requires a nonnegative exponent")
+        if not (math.isfinite(t) and t >= 0):
+            raise DomainError(f"power-law family requires a finite nonnegative exponent, got {t:g}")
         return ZonalFamily(f"powerlaw:{t:g}", ("powerlaw", t), None, lambda k: (k + 1.0) ** (-t))
     if spec.startswith("finite:"):
         try:
             K = int(spec.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"bad cutoff degree in {spec!r}") from None
-        if K < 0:
-            raise DomainError("finite family requires a nonnegative degree")
+        if not 0 <= K <= _SERIES_DEGREE_CAP:
+            raise DomainError(
+                f"finite family requires a degree in 0..{_SERIES_DEGREE_CAP}, got {K}"
+            )
         return ZonalFamily(f"finite:{K}", ("finite", K), K, lambda k: (k <= K).astype(float))
     raise DomainError(f"unknown multiplier family {spec!r}")
 

@@ -2,7 +2,7 @@
 
 Everything here reduces to log-Gamma arithmetic and the normalized
 ultraspherical three-term recurrence, which lives in ``_zonalseries``
-(its ``_series_sum_numpy``; the numba kernel there is its compiled twin):
+(its ``_series_sum``):
 
 * ``log_gamma`` / ``gamma_ratio``  -- Gamma ratios evaluated in log space so
   that quantities like Gamma(k + n/2 + m + 1) / Gamma(k + n/2) stay finite
@@ -67,7 +67,7 @@ def gegenbauer(k, lam, t):
     Requires lam > -1/2, lam != 0 (the degenerate lam = 0 limit is handled
     by `zonal` for dimension 2) and |t| <= 1.
     """
-    from ._zonalseries import _series_sum_numpy
+    from ._zonalseries import _series_sum
 
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
@@ -78,7 +78,7 @@ def gegenbauer(k, lam, t):
         raise DomainError("gegenbauer requires |t| <= 1")
     w = np.zeros(k + 1)
     w[k] = binom(k + 2.0 * lam - 1.0, k)
-    out = _series_sum_numpy(w, lam, np.atleast_1d(t)).reshape(t.shape)
+    out = _series_sum(w, lam, np.atleast_1d(t)).reshape(t.shape)
     return float(out) if out.ndim == 0 else out
 
 

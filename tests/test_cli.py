@@ -99,6 +99,36 @@ def test_malformed_file_exits_2(command, text, what, tmp_path, capsys):
     assert what in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec,what",
+    [
+        ("powerlaw:-1", "got -1"),
+        ("powerlaw:nan", "got nan"),
+        ("powerlaw:inf", "got inf"),
+        ("powerlaw:x", "'powerlaw:x'"),
+        ("finite:abc", "'finite:abc'"),
+        ("finite:-1", "got -1"),
+        ("finite:1000000", "got 1000000"),
+        ("gibberish", "'gibberish'"),
+    ],
+)
+def test_mult_check_bad_family_exits_2(spec, what, capsys):
+    # a spec that is not an existing file reports the family's own error
+    argv = ["mult-check", "--alpha", "0.5", "--beta", "0.25", "--multiplier", spec,
+            "--rho-levels", "4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert what in err and "No such file" not in err
+
+
+def test_norm_non_finite_series_exits_3(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 3, "kind": "zonal", "pole": [0.0, 0.0, 1.0], '
+                    '"coeffs": [1e308, -1e308, 1e308, -1e308]}')
+    assert main(["norm", "--input", str(huge), "--p", "1", "--q", "1", "--alpha", "0.5"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_norm_missing_file_exits_2(tmp_path):
     assert main(["norm", "--input", str(tmp_path / "nope.json")]) == 2
 

@@ -36,6 +36,13 @@ def test_tracer_targets_resolve(monkeypatch):
         assert callable(getattr(module, attr, None)), f"{span}: {module.__name__}.{attr}"
 
 
+def test_have_numba_flag_stays_false():
+    # the benchmark worker records this flag in its run metadata
+    from ballharm import _zonalseries
+
+    assert _zonalseries._HAVE_NUMBA is False
+
+
 def test_moved_direct_pnorm_keeps_its_traced_name():
     from ballharm import cli, quadrature
 

@@ -3,13 +3,11 @@
 A change that is meant to leave every number alone (a refactor, a cache,
 a moved function) must leave these digests alone too.  A change that is
 meant to move a number updates the digest here and says which field moved
-and why.  The digests were taken with numpy 2.4.6 and scipy 1.17.1 on the
-numpy series path (numba absent); other builds may round differently, so
-the tests skip there.
+and why.  The digests were taken with numpy 2.4.6 and scipy 1.17.1; other
+builds may round differently, so the tests skip there.
 """
 
 import hashlib
-import importlib.util
 import json
 
 import numpy as np
@@ -19,10 +17,10 @@ import scipy
 from ballharm import MultiplierSequence, TheoremParams, condition2_sup, reports
 from ballharm.cli import main
 
-BUILD = ("2.4.6", "1.17.1", False)
+BUILD = ("2.4.6", "1.17.1")
 pytestmark = pytest.mark.skipif(
-    (np.__version__, scipy.__version__, importlib.util.find_spec("numba") is not None) != BUILD,
-    reason="report digests were taken with numpy 2.4.6 and scipy 1.17.1, numba absent",
+    (np.__version__, scipy.__version__) != BUILD,
+    reason="report digests were taken with numpy 2.4.6 and scipy 1.17.1",
 )
 
 ZONAL = {"dim": 3, "kind": "zonal", "pole": [0.0, 0.0, 1.0],

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import scipy
 from scipy.special import eval_chebyt, eval_gegenbauer
 
 from ballharm import sph_dim
-from ballharm._zonalseries import (
-    _HAVE_NUMBA,
-    _series_sum_numpy,
-    zonal_abs_power_mean,
-    zonal_series_values,
-)
+from ballharm._zonalseries import _abs_power_mean, zonal_abs_power_mean, zonal_series_values
+from ballharm.errors import AccuracyError
+from ballharm.multipliers import _growth_integral, multiplier_family
 from ballharm.specfun import _sph_dim_array
 
 
@@ -34,20 +32,6 @@ def test_series_matches_zonal_sum():
         direct = sum(coeffs[k] * _zonal_reference(n, k, ts) for k in range(9))
         fast = zonal_series_values(n, coeffs, ts)
         assert np.allclose(fast, direct, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.skipif(not _HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_paths_agree():
-    from ballharm._zonalseries import _series_sum_kernel
-
-    rng = np.random.default_rng(43)
-    for n in (2, 3, 4):
-        lam = (n - 2) / 2.0
-        w = rng.standard_normal(4000) * 0.9 ** np.arange(4000)
-        t = np.ascontiguousarray(np.cos(np.linspace(0, math.pi, 40)))
-        a = _series_sum_kernel(w, lam, t)
-        b = _series_sum_numpy(w, lam, t)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-13)
 
 
 def test_abs_mean_of_poisson_is_one():
@@ -89,3 +73,48 @@ def test_series_values_scalar_input():
     out = zonal_series_values(3, np.array([1.0, 1.0]), 0.5)
     assert isinstance(out, float)
     assert out == pytest.approx(1.0 + 3.0 * 0.5, rel=1e-14)
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="bit patterns were taken with numpy 2.4.6 and scipy 1.17.1",
+)
+def test_abs_power_mean_bits_pinned():
+    # the exact doubles of the integral, so a refactor of the series or the
+    # adaptive loop that reorders any sum shows here
+    rng = np.random.default_rng(2024)
+    cases = [
+        (2, rng.standard_normal(9), 0.5, "0x1.ca461cb41377ap+0"),
+        (3, 0.9 ** np.arange(120.0), 1.0, "0x1.0000000000001p+0"),
+        (5, rng.standard_normal(12) * 0.8 ** np.arange(12.0), 2.0, "0x1.3b289d9d2068ap+6"),
+        (3, rng.standard_normal(33), 0.5, "0x1.310bc0094a811p+2"),
+        (2, 0.99 ** np.arange(900.0), 1.0, "0x1.ffffffffffef0p-1"),
+        (5, rng.standard_normal(64) * 0.95 ** np.arange(64.0), 1.0, "0x1.4b2c0573e2242p+6"),
+    ]
+    for n, coeffs, power, bits in cases:
+        assert float(zonal_abs_power_mean(n, coeffs, power, rtol=1e-9)).hex() == bits
+    # the j = 8 growth integral of ``ones`` (n = 3, m = 2), K = 12,569
+    value = _growth_integral(3, 2.0, multiplier_family("ones"), 1.0 - 2.0**-8)
+    assert float(value).hex() == "0x1.637018505085dp+24"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("j", [10, 20])
+def test_core_integrates_closed_form_poisson_in_theta(n, j):
+    # P(s, theta) = (1 - s^2) / ((1 - s)^2 + 4 s sin^2(theta/2))^(n/2) has
+    # spherical mean 1; at 1 - s = 2^-20 the series would need far more
+    # terms than the degree cap allows
+    d = 2.0**-j
+    s = 1.0 - d
+
+    def poisson(theta):
+        return d * (2.0 - d) / (d * d + 4.0 * s * np.sin(theta / 2.0) ** 2) ** (n / 2.0)
+
+    assert _abs_power_mean(n, poisson, 0.25 * d, 1.0, 1e-13) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_abs_mean_non_finite_series_raises():
+    # +-1e308 times d_k overflows: no panel can converge, so the first
+    # round refuses instead of bisecting until memory runs out
+    with pytest.raises(AccuracyError, match="non-finite"):
+        zonal_abs_power_mean(3, np.array([1e308, -1e308, 1e308, -1e308]), 1.0)
