@@ -6,8 +6,14 @@ import pytest
 import scipy
 from scipy.special import eval_chebyt, eval_gegenbauer
 
-from ballharm import sph_dim
-from ballharm._zonalseries import _abs_power_mean, zonal_abs_power_mean, zonal_series_values
+from ballharm import _zonalseries, multipliers, sph_dim
+from ballharm._zonalseries import (
+    _AHEAD_PANELS,
+    _abs_power_mean,
+    _series_sum,
+    zonal_abs_power_mean,
+    zonal_series_values,
+)
 from ballharm.errors import AccuracyError
 from ballharm.multipliers import _growth_integral, multiplier_family
 from ballharm.specfun import _sph_dim_array
@@ -116,5 +122,139 @@ def test_core_integrates_closed_form_poisson_in_theta(n, j):
 def test_abs_mean_non_finite_series_raises():
     # +-1e308 times d_k overflows: no panel can converge, so the first
     # round refuses instead of bisecting until memory runs out
-    with pytest.raises(AccuracyError, match="non-finite"):
+    with pytest.warns(RuntimeWarning) as caught, pytest.raises(AccuracyError, match="non-finite"):
         zonal_abs_power_mean(3, np.array([1e308, -1e308, 1e308, -1e308]), 1.0)
+    messages = {str(w.message) for w in caught}
+    assert "overflow encountered in multiply" in messages
+    assert "invalid value encountered in add" in messages
+
+
+def test_series_sum_matches_allocating_loop():
+    # the recurrence as a fresh-array loop, each element's operations in the
+    # same order, so the buffer rotation must give the same bits
+    def reference(w, lam, t):
+        u_prev, u = np.ones_like(t), t.copy()
+        acc = w[0] * u_prev
+        if w.size > 1:
+            acc += w[1] * u
+        for k in range(2, w.size):
+            a = 2.0 * (k + lam - 1.0) / (k + 2.0 * lam - 1.0)
+            b = (k - 1.0) / (k + 2.0 * lam - 1.0)
+            u_prev, u = u, t * u * a - b * u_prev
+            acc += w[k] * u
+        return acc
+
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-1.0, 1.0, 101)
+    for lam in (0.0, 0.5, 1.5):
+        for K in (0, 1, 2, 7, 300):
+            w = rng.standard_normal(K + 1)
+            assert _series_sum(w, lam, t).tobytes() == reference(w, lam, t).tobytes()
+
+
+def _growth_series(n, m, j):
+    """The zonal coefficients of the ``ones`` growth integral I(1 - 2^-j)."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multipliers, "zonal_abs_power_mean", lambda dim, z, q, rtol: seen.append(z))
+        _growth_integral(n, m, multiplier_family("ones"), 1.0 - 2.0**-j)
+    return seen[0]
+
+
+def _outcome(f, *args):
+    # the exact double, or the exact message of the refusal
+    try:
+        return float(f(*args)).hex()
+    except AccuracyError as err:
+        return str(err)
+
+
+# (n, j, m, power): every combination at j = 2 and 6 but one, which takes
+# about 100 s a side to reach the panel budget; a few deep ones
+_LOOKAHEAD_GRID = [
+    (n, j, m, q)
+    for j in (2, 6)
+    for n in (2, 3, 5)
+    for m in (1.5, 2.0, 3.0)
+    for q in (0.5, 1.0, 2.0)
+    if (n, j, m, q) != (5, 6, 3.0, 0.5)
+] + [(2, 10, 3.0, 2.0), (3, 10, 1.5, 1.0), (5, 10, 1.5, 2.0), (2, 12, 1.5, 1.0)]
+
+
+@pytest.mark.parametrize("n,j,m,q", _LOOKAHEAD_GRID)
+def test_lookahead_keeps_growth_integral_bits(monkeypatch, n, j, m, q):
+    # panels evaluated ahead carry the bits the round that takes them would
+    # have computed; forced on below the series-length gate as well
+    zcoeffs = _growth_series(n, m, j)
+    monkeypatch.setattr(_zonalseries, "_AHEAD_TERMS", math.inf)
+    plain = _outcome(zonal_abs_power_mean, n, zcoeffs, q, 1e-7)
+    monkeypatch.setattr(_zonalseries, "_AHEAD_TERMS", 0)
+    assert _outcome(zonal_abs_power_mean, n, zcoeffs, q, 1e-7) == plain
+
+
+def _traced(G):
+    # G, and a list that records for each call whether it met a NaN
+    calls = []
+
+    def traced(theta):
+        values = G(theta)
+        calls.append(bool(np.isnan(values).any()))
+        return values
+
+    return traced, calls
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        lambda th: (th - 0.9) * (th - 1.1),  # two zeros in one first-round panel
+        lambda th: np.cos(3.0 * th),  # three zeros
+        lambda th: 1.0 + np.abs(th - 1.2345),  # failing panels that never change sign
+        # a spike at the zero: the deep panels carry the integral, so a
+        # wrong last bit in one of them shows in the sum
+        lambda th: (th - 1.003) * (1.0 + 1e12 * np.exp(-(((th - 1.003) / 1e-5) ** 2))),
+    ],
+)
+def test_lookahead_keeps_adversarial_bits(G):
+    (g_plain, plain), (g_ahead, ahead) = _traced(G), _traced(G)
+    expected = _abs_power_mean(3, g_plain, 0.01, 1.0, 1e-10)
+    value = _abs_power_mean(3, g_ahead, 0.01, 1.0, 1e-10, _AHEAD_PANELS)
+    assert float(value).hex() == float(expected).hex()
+    assert len(ahead) <= len(plain)
+
+
+def test_lookahead_raises_non_finite_in_the_same_round():
+    # a NaN strip next to the zero of |G|^0.5: the lookahead meets it long
+    # before the round that takes the panel, which raises as without it
+    G = lambda th: np.where(np.abs(th - 1.004) < 1e-5, np.nan, th - 1.003)
+    (g_plain, plain), (g_ahead, ahead) = _traced(G), _traced(G)
+    with pytest.raises(AccuracyError, match="non-finite") as expected:
+        _abs_power_mean(3, g_plain, 0.01, 0.5, 1e-12)
+    with pytest.raises(AccuracyError, match="non-finite") as raised:
+        _abs_power_mean(3, g_ahead, 0.01, 0.5, 1e-12, _AHEAD_PANELS)
+    assert str(raised.value) == str(expected.value)
+    # without lookahead only the raising round met the NaN
+    assert plain.index(True) == len(plain) - 1 > ahead.index(True)
+
+
+def test_deep_growth_integral_makes_few_series_calls(monkeypatch):
+    # j = 10, K = 54,908: one call for the first round, one for the rest
+    # (nine calls, one per round, without lookahead)
+    sizes = []
+
+    def counted(w, lam, t):
+        sizes.append(t.size)
+        return _series_sum(w, lam, t)
+
+    monkeypatch.setattr(_zonalseries, "_series_sum", counted)
+    _growth_integral(3, 2.0, multiplier_family("ones"), 1.0 - 2.0**-10)
+    assert len(sizes) <= 3
+    assert max(sizes) <= 48 * _AHEAD_PANELS
+
+
+def test_unsettled_integrand_exceeds_the_panel_budget():
+    # values at a scale of 1e-12 rad never settle; the panel count doubles
+    # each round until the budget refuses, with the round's two estimates
+    with pytest.raises(AccuracyError, match="budget") as raised:
+        _abs_power_mean(3, lambda th: np.sin(1e12 * th), 0.1, 1.0, 1e-8)
+    assert math.isfinite(raised.value.coarse) and math.isfinite(raised.value.fine)
