@@ -15,17 +15,23 @@ containing sign changes resolves the integrand at any depth actually
 reachable in double precision.  ``_abs_power_mean`` integrates any such
 integrand of theta; ``zonal_abs_power_mean`` feeds it the series.
 
-A long series costs mostly per call: the recurrence pays interpreter
-overhead for each of its K terms, so a call on 2,300 points costs only
-about twice one on 250.  A deep integral, though, bisects for 8-10 rounds
-with only 2-6 new panels each, at the kinks of |G| where G changes sign.
-For a series of more than ``_AHEAD_TERMS`` terms the core therefore looks
-ahead: the call that evaluates the halves of a failing panel also
-evaluates the panels later rounds will bisect toward its estimated zero,
-so a deep growth integral calls the recurrence twice instead of about
-nine times, with the same bits.
+A series costs mostly per call: the recurrence pays interpreter overhead
+for each of its K terms, so a call on 2,300 points costs only about twice
+one on 250.  The core has two remedies, both with the same bits.  A deep
+integral of a long series bisects for 8-10 rounds with only 2-6 new
+panels each, at the kinks of |G| where G changes sign.  For a series of
+more than ``_AHEAD_TERMS`` terms the core therefore looks ahead: the call
+that evaluates the halves of a failing panel also evaluates the panels
+later rounds will bisect toward its estimated zero, so a deep growth
+integral calls the recurrence twice instead of about nine times.  A short
+series pays the same overhead at each of the many radii of a spherical
+mean profile (a mixed norm's radial rule, a probe's); so
+``_zonal_abs_power_means`` integrates a batch of coefficient rows, one
+per radius, in one loop whose rounds call the recurrence once for the
+panels of every row, with each row's weights gathered per panel.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -41,16 +47,24 @@ _AHEAD_PANELS = 48  # panels a lookahead G call fills up to
 _AHEAD_TERMS = 256  # series with more terms than this look ahead
 
 
-def _series_sum(w, lam, t):
+def _series_sum(w, lam, t, cols=None):
     """sum_k w[k] u_k(t) with u_k the Gegenbauer polynomial of index lam
-    scaled to u_k(1) = 1 (Chebyshev T_k for lam = 0)."""
-    K = w.size - 1
+    scaled to u_k(1) = 1 (Chebyshev T_k for lam = 0).  With ``cols``, w
+    holds one series per column and column j of t sums the series in
+    column cols[j] of w; each term's weights are gathered into one reused
+    row."""
+    K = w.shape[0] - 1
+    if cols is None:
+        weight = w.__getitem__
+    else:
+        row = np.empty((1, len(cols)))
+        weight = lambda k: np.take(w[k], cols, out=row[0], mode="clip")[None, :]
     u_prev = np.ones_like(t)
-    acc = w[0] * u_prev
+    acc = weight(0) * u_prev
     if K == 0:
         return acc
     u = t.copy()
-    acc += w[1] * u
+    acc += weight(1) * u
     # u_k = a_k t u_{k-1} - b_k u_{k-2}, in three rotating buffers
     nxt = np.empty_like(t)
     term = np.empty_like(t)
@@ -61,7 +75,7 @@ def _series_sum(w, lam, t):
         nxt *= a
         np.multiply(u_prev, b, out=term)
         nxt -= term
-        np.multiply(nxt, w[k], out=term)
+        np.multiply(nxt, weight(k), out=term)
         acc += term
         u_prev, u, nxt = u, nxt, u_prev
     return acc
@@ -118,49 +132,56 @@ def _zero_chains(lo, mid, hi, zero, levels):
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
-def _abs_power_mean(dim, G, delta, power, rtol, ahead=0):
-    """Normalized surface integral of |G|^power for a zonal integrand G.
+def _abs_power_mean(dim, G, deltas, power, rtol, ahead=0):
+    """Normalized surface integrals of |G_i|^power for a batch of zonal
+    integrands G_i, one per mesh scale in ``deltas``: a list of floats.
 
-    ``G`` maps an array of polar angles theta to the integrand's values;
-    theta, not cos(theta), because inside a peak of width 1 - s a kernel
-    written through 1 - 2 s t + s^2 = (1 - s)^2 + 4 s sin^2(theta/2) keeps
-    full accuracy where 1 - cos(theta) cancels.  The mesh is [0, delta],
+    ``G(theta, owner)`` takes the polar angles of a round's nodes, one row
+    per panel, and the index owner[j] of the integrand that row j belongs
+    to, and returns the integrands' values there; theta, not cos(theta),
+    because inside a peak of width 1 - s a kernel written through
+    1 - 2 s t + s^2 = (1 - s)^2 + 4 s sin^2(theta/2) keeps full accuracy
+    where 1 - cos(theta) cancels.  Integrand i's mesh is [0, deltas[i]],
     then doubling panels up to pi, bisected until the 16- and 32-point
     Gauss values agree; non-finite 32-point values, or a round that would
     hold more than ``_MAX_PANELS`` panels, raise AccuracyError.
 
-    With ``ahead`` > 0, for a G whose cost is mostly per call, a round that
-    must call G fills the call up to ``ahead`` panels with the panels later
-    rounds will bisect toward the estimated zero (the kink of |G|) of each
-    parent whose values change sign; later rounds take them from a pending
-    set and call G only for the panels it lacks.  A panel's values depend
-    on its endpoints alone, so the result has the same bits either way.
-    Deterministic: identical inputs give the same bits on a given build.
+    A round calls G once, on the live panels of every integrand.  Each
+    integrand keeps its own panels, tolerance and accepted values, so its
+    result has the bits it has as a batch of one.  Errors come as a loop
+    over the integrands would raise them: a failing integrand drops the
+    ones after it, the ones before it run on, and the lowest failing index
+    raises.
+
+    With ``ahead`` > 0, for a batch of one whose G costs mostly per call, a
+    round that must call G fills the call up to ``ahead`` panels with the
+    panels later rounds will bisect toward the estimated zero (the kink of
+    |G|) of each parent whose values change sign; later rounds take them
+    from a pending set and call G only for the panels it lacks.  A panel's
+    values depend on its endpoints alone, so the result has the same bits
+    either way.  Deterministic: identical inputs give the same bits on a
+    given build.
     """
-    edges = [0.0, delta]
-    while edges[-1] < math.pi:
-        edges.append(min(edges[-1] * 2.0, math.pi))
+    if ahead > 0 and len(deltas) != 1:
+        raise ValueError("lookahead integrates a batch of one")
     cn = sphere_density_constant(dim)
     x16, w16 = _gauss_jacobi(16, 0.0, 0.0)
     x32, w32 = _gauss_jacobi(32, 0.0, 0.0)
+    x48, n16 = np.concatenate([x16, x32]), x16.size
 
-    def panel_integrals(a, b):
+    def panel_integrals(a, b, owner):
         # 16-pt and 32-pt Gauss values of |G|^q * density per panel, then
-        # the 32-pt nodes and signed values of G
+        # the 32-pt nodes and signed values of G; row j of theta holds the
+        # 16 then the 32 nodes of panel j, which is integrand owner[j]'s
         mid = 0.5 * (a + b)[:, None]
         half = 0.5 * (b - a)[:, None]
-        th16 = mid + half * x16[None, :]
-        th32 = mid + half * x32[None, :]
-        theta = np.concatenate([th16.ravel(), th32.ravel()])
+        theta = mid + half * x48[None, :]
         dens = cn * np.sin(theta) ** (dim - 2)
-        g = G(theta)
+        g = G(theta, owner)
         vals = np.abs(g) ** power * dens
-        n16 = th16.size
-        v16 = vals[:n16].reshape(th16.shape)
-        v32 = vals[n16:].reshape(th32.shape)
-        i16 = half[:, 0] * (v16 * w16[None, :]).sum(axis=1)
-        i32 = half[:, 0] * (v32 * w32[None, :]).sum(axis=1)
-        return i16, i32, th32, g[n16:].reshape(th32.shape)
+        i16 = half[:, 0] * (vals[:, :n16] * w16[None, :]).sum(axis=1)
+        i32 = half[:, 0] * (vals[:, n16:] * w32[None, :]).sum(axis=1)
+        return i16, i32, theta[:, n16:], g[:, n16:]
 
     # (a, b) -> (i16, i32, zero estimate) of each panel evaluated ahead
     pending = {} if ahead > 0 else None
@@ -180,78 +201,146 @@ def _abs_power_mean(dim, G, delta, power, rtol, ahead=0):
                 levels = (ahead - ea.size) // (2 * j.size) if j.size else 0
                 ca, cb = _zero_chains(a[j], b[j], b[j + n], parent_zeros[j], levels)
                 ea, eb = np.concatenate([ea, ca]), np.concatenate([eb, cb])
-            i16, i32, th32, g32 = panel_integrals(ea, eb)
+            i16, i32, th32, g32 = panel_integrals(ea, eb, np.zeros(ea.size, dtype=np.intp))
             values = zip(i16.tolist(), i32.tolist(), _zero_estimates(th32, g32).tolist())
             pending.update(zip(zip(ea.tolist(), eb.tolist()), values))
             rows = [pending.pop(key) if row is None else row for key, row in zip(keys, rows)]
         i16, i32, zeros = (np.array(col) for col in zip(*rows))
         return i16, i32, zeros
 
-    a = np.array(edges[:-1])
-    b = np.array(edges[1:])
+    # the round's panels [a, b): counts[j] of them for integrand ids[j], in
+    # ascending order of the integrands
+    meshes = []
+    for delta in deltas:
+        edges = [0.0, delta]
+        while edges[-1] < math.pi:
+            edges.append(min(edges[-1] * 2.0, math.pi))
+        meshes.append(edges)
+    a = np.array([x for edges in meshes for x in edges[:-1]])
+    b = np.array([x for edges in meshes for x in edges[1:]])
+    ids = list(range(len(meshes)))
+    counts = [len(edges) - 1 for edges in meshes]
+    accepted = [[] for _ in deltas]
+    results = [None] * len(deltas)
+    error = None  # the AccuracyError of the lowest failing integrand so far
     zeros = None  # with lookahead: the round's estimated zeros, then its parents'
-    accepted = []
     for _ in range(_MAX_ROUNDS):
         if pending is None:
-            i16, i32 = panel_integrals(a, b)[:2]
+            i16, i32 = panel_integrals(a, b, np.array(ids).repeat(counts))[:2]
         else:
             i16, i32, zeros = take(a, b, zeros)
-        scale = math.fsum(accepted) + float(np.abs(i32).sum())
-        # a non-finite value never converges, and its panels would double
-        # every round; a region where only i16 is non-finite soon puts
-        # 32-point nodes in it too
-        if not math.isfinite(scale):
-            raise AccuracyError(
-                "adaptive zonal integral met non-finite values",
-                float(i16.sum()),
-                float(i32.sum()),
-                rtol,
-            )
-        tol_each = rtol * max(scale, 1e-300) / max(2 * a.size, 1)
-        ok = np.abs(i32 - i16) <= tol_each
-        accepted.extend(i32[ok].tolist())
-        if ok.all():
-            return math.fsum(accepted)
-        a_bad, b_bad = a[~ok], b[~ok]
-        if 2 * a_bad.size > _MAX_PANELS:
-            coarse = math.fsum(accepted)
-            raise AccuracyError(
-                f"adaptive zonal integral exceeded its budget of {_MAX_PANELS} panels",
-                coarse + float(i16[~ok].sum()),
-                coarse + float(i32[~ok].sum()),
-                rtol,
-            )
+        abs32 = np.abs(i32)
+        tols = []
+        start = 0
+        for i, n in zip(ids, counts):
+            scale = math.fsum(accepted[i]) + float(abs32[start : start + n].sum())
+            # a non-finite value never converges, and its panels would double
+            # every round; a region where only i16 is non-finite soon puts
+            # 32-point nodes in it too
+            if not math.isfinite(scale):
+                error = AccuracyError(
+                    "adaptive zonal integral met non-finite values",
+                    float(i16[start : start + n].sum()),
+                    float(i32[start : start + n].sum()),
+                    rtol,
+                )
+                break
+            tols.append(rtol * max(scale, 1e-300) / max(2 * n, 1))
+            start += n
+        # a failing integrand drops the ones after it
+        ids, counts = ids[: len(tols)], counts[: len(tols)]
+        ok = np.abs(i32[:start] - i16[:start]) <= np.array(tols).repeat(counts)
+        ok_list, i32_list = ok.tolist(), i32.tolist()
+        bad_counts = []
+        start = 0
+        for i, n in zip(ids, counts):
+            mine = ok_list[start : start + n]
+            accepted[i].extend(itertools.compress(i32_list[start : start + n], mine))
+            n_bad = n - sum(mine)
+            if n_bad == 0:
+                results[i] = math.fsum(accepted[i])
+            elif 2 * n_bad > _MAX_PANELS:
+                coarse = math.fsum(accepted[i])
+                bad = ~ok[start : start + n]
+                error = AccuracyError(
+                    f"adaptive zonal integral exceeded its budget of {_MAX_PANELS} panels",
+                    coarse + float(i16[start : start + n][bad].sum()),
+                    coarse + float(i32[start : start + n][bad].sum()),
+                    rtol,
+                )
+                break
+            bad_counts.append(n_bad)
+            start += n
+        bad = ~ok[:start]
         if zeros is not None:
-            zeros = zeros[~ok]
+            zeros = zeros[bad]
+        a_bad, b_bad = a[:start][bad], b[:start][bad]
         mids = 0.5 * (a_bad + b_bad)
         a = np.concatenate([a_bad, mids])
         b = np.concatenate([mids, b_bad])
-    coarse = math.fsum(accepted)
-    i16, i32 = panel_integrals(a, b)[:2]
-    raise AccuracyError(
-        "adaptive zonal integral did not converge",
-        coarse + float(i16.sum()),
-        coarse + float(i32.sum()),
-        rtol,
-    )
+        ids = [i for i, n_bad in zip(ids, bad_counts) if n_bad]
+        counts = [2 * n_bad for n_bad in bad_counts if n_bad]
+        if len(ids) > 1:
+            # each integrand's left halves, then its right halves
+            parent = np.repeat(np.arange(len(ids)), [n // 2 for n in counts])
+            order = np.argsort(np.concatenate([parent, parent]), kind="stable")
+            a, b = a[order], b[order]
+        if not ids:
+            break
+    else:
+        n = counts[0]
+        coarse = math.fsum(accepted[ids[0]])
+        i16, i32 = panel_integrals(a[:n], b[:n], np.repeat(ids[:1], n))[:2]
+        error = AccuracyError(
+            "adaptive zonal integral did not converge",
+            coarse + float(i16.sum()),
+            coarse + float(i32.sum()),
+            rtol,
+        )
+    if error is not None:
+        raise error
+    return results
+
+
+def _zonal_abs_power_means(dim, rows, power, rtol):
+    """``zonal_abs_power_mean`` of each row of zonal coefficients, in one
+    adaptive loop: a list of floats with the bits of the row-by-row loop,
+    or the error of the first row that fails.  One nonzero row of more
+    than ``_AHEAD_TERMS`` terms looks ahead."""
+    if power <= 0:
+        raise DomainError(f"power must be positive, got {power}")
+    w = rows * _sph_dim_array(dim, rows.shape[1] - 1)
+    absw = np.abs(w)
+    wmax = absw.max(axis=1)
+    # effective bandwidth sets the peak scale near theta = 0
+    sig = absw >= 1e-7 * wmax[:, None]
+    k_eff = np.where(sig.any(axis=1), w.shape[1] - 1 - sig[:, ::-1].argmax(axis=1), 0)
+    deltas = np.minimum(np.maximum(0.25 / (k_eff + 2.0), 1e-9), 0.2)
+    # an all-zero row has mean 0 and stays out of the loop
+    live = np.flatnonzero(wmax != 0.0)
+    out = [0.0] * len(w)
+    if live.size == 0:
+        return out
+    lam = (dim - 2) / 2.0
+    if live.size == 1:
+        w1 = w[live[0]]
+        G = lambda theta, owner: _series_sum(w1, lam, np.cos(theta))
+    else:
+        # one panel per column, so each term's weights are one row
+        wt = np.ascontiguousarray(w[live].T)
+        G = lambda theta, owner: np.ascontiguousarray(
+            _series_sum(wt, lam, np.ascontiguousarray(np.cos(theta).T), owner).T
+        )
+    # a long series costs mostly per call: look ahead to save calls
+    ahead = _AHEAD_PANELS if live.size == 1 and w.shape[1] > _AHEAD_TERMS else 0
+    values = _abs_power_mean(dim, G, deltas[live].tolist(), power, rtol, ahead)
+    for i, value in zip(live.tolist(), values):
+        out[i] = value
+    return out
 
 
 def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8):
     """Normalized surface integral of |G|^power for a zonal series G, with
     the mesh graded toward the pole at the scale of the coefficient decay."""
-    if power <= 0:
-        raise DomainError(f"power must be positive, got {power}")
     zcoeffs = np.ascontiguousarray(zcoeffs, dtype=float)
-    w = zcoeffs * _sph_dim_array(dim, zcoeffs.size - 1)
-    wmax = np.max(np.abs(w))
-    if wmax == 0.0:
-        return 0.0
-    # effective bandwidth sets the peak scale near theta = 0
-    sig = np.nonzero(np.abs(w) >= 1e-7 * wmax)[0]
-    k_eff = int(sig[-1]) if sig.size else 0
-    delta = min(max(0.25 / (k_eff + 2.0), 1e-9), 0.2)
-    lam = (dim - 2) / 2.0
-    G = lambda theta: _series_sum(w, lam, np.ascontiguousarray(np.cos(theta)))
-    # a long series costs mostly per call: look ahead to save calls
-    ahead = _AHEAD_PANELS if w.size > _AHEAD_TERMS else 0
-    return _abs_power_mean(dim, G, delta, power, rtol, ahead)
+    return _zonal_abs_power_means(dim, zcoeffs[None, :], power, rtol)[0]

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .expansion import _radial_values, evaluate
 from .specfun import _gauss_jacobi
-from ._zonalseries import zonal_abs_power_mean
+from ._zonalseries import _AHEAD_TERMS, _zonal_abs_power_means
 
 __all__ = [
     "QuadratureRule",
@@ -50,6 +50,8 @@ __all__ = [
 
 # relative tolerance of the two-level check on every mixed norm
 NORM_RTOL = 1e-8
+# radii of a short-series profile integrated in one adaptive loop
+_PROFILE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,16 @@ class SpaceParams:
 
 def _zonal_power_profile(dim, coeffs, q, radii, rtol=1e-10):
     """int |f(r x')|^q dx' at each radius r, for the zonal series f with the
-    given coefficients, by the adaptive one-dimensional reduction."""
+    given coefficients, by the adaptive one-dimensional reduction.  A short
+    series costs mostly per call, so ``_PROFILE_CHUNK`` radii share each
+    adaptive loop; a long one takes its radii one at a time and looks ahead."""
     k = np.arange(len(coeffs), dtype=float)
-    return np.array([zonal_abs_power_mean(dim, coeffs * r**k, q, rtol=rtol) for r in radii])
+    step = _PROFILE_CHUNK if len(coeffs) <= _AHEAD_TERMS else 1
+    out = []
+    for start in range(0, len(radii), step):
+        rows = np.array([coeffs * r**k for r in radii[start : start + step]])
+        out += _zonal_abs_power_means(dim, rows, q, rtol)
+    return np.array(out)
 
 
 def _power_profile(f, q, radii, rule):

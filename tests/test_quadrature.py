@@ -17,9 +17,10 @@ from ballharm import (
     zonal,
     zonal_sphere_integral,
 )
-from ballharm import expansion
+from ballharm import _zonalseries, expansion, quadrature
+from ballharm._zonalseries import zonal_abs_power_mean
 from ballharm.expansion import _basis_matrix, _per_entry
-from ballharm.quadrature import _direct_pnorm, _power_profile
+from ballharm.quadrature import _direct_pnorm, _power_profile, _zonal_power_profile
 
 E2 = np.array([1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -219,6 +220,95 @@ def test_power_profile_full_equals_per_radius_loop(n):
             )
             reference.append(float((rule.weights * np.abs(vals) ** q).sum()))
         assert _power_profile(f, q, radii, rule).tolist() == reference
+
+
+def _per_radius_profile(dim, coeffs, q, radii):
+    # the zonal profile as one zonal_abs_power_mean call per radius, the
+    # loop that radius batching replaced (the profile's rtol is 1e-10)
+    k = np.arange(len(coeffs), dtype=float)
+    return np.array([zonal_abs_power_mean(dim, coeffs * r**k, q, rtol=1e-10) for r in radii])
+
+
+def _outcome(profile, *args):
+    # the exact doubles, or the exact message of the refusal
+    try:
+        values = profile(*args)
+    except AccuracyError as err:
+        return str(err)
+    return values.dtype, values.shape, [float(v).hex() for v in values]
+
+
+# r = 0, interior radial nodes and the two nodes nearest 1
+_RULE_RADII = radial_rule(0.5, 96).nodes
+_PROFILE_RADII = np.concatenate([[0.0], _RULE_RADII[8:-2:32], _RULE_RADII[-2:]])
+
+
+@pytest.mark.parametrize("K", [0, 1, 4, 8, 64, 255, 256, 257])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_zonal_profile_equals_per_radius_loop(dim, K):
+    # up to _AHEAD_TERMS = 256 terms (K = 255) the radii share one adaptive
+    # loop; longer series take them one at a time; the bits are the loop's
+    rng = np.random.default_rng(1000 * dim + K)
+    coeffs = rng.standard_normal(K + 1) * 0.98 ** np.arange(K + 1.0)
+    for q in (0.5, 1.0, 2.0):
+        expected = _outcome(_per_radius_profile, dim, coeffs, q, _PROFILE_RADII)
+        assert _outcome(_zonal_power_profile, dim, coeffs, q, _PROFILE_RADII) == expected
+
+
+@pytest.mark.parametrize(
+    "coeffs,radii",
+    [
+        (np.zeros(5), _PROFILE_RADII),  # every row all-zero
+        (np.array([0.0, 1.0, -0.5]), _PROFILE_RADII),  # the row at r = 0 all-zero
+        (np.array([1.0, 0.5]), []),
+        (np.array([1.0, 0.5]), np.array([])),
+    ],
+)
+def test_zonal_profile_edge_cases_equal_per_radius_loop(coeffs, radii):
+    expected = _outcome(_per_radius_profile, 3, coeffs, 1.0, radii)
+    assert _outcome(_zonal_power_profile, 3, coeffs, 1.0, radii) == expected
+
+
+@pytest.mark.parametrize(
+    "dim,coeffs,q",
+    [
+        # the rows overflow |G|^2 at every radius but r = 0
+        (2, np.array([0.5, 0.5e308]), 2.0),
+        # the row at r = 0 holds inf * 0 = nan; every row fails at once
+        (3, np.array([1.0, np.inf]), 1.0),
+    ],
+)
+def test_zonal_profile_raises_as_the_per_radius_loop(dim, coeffs, q):
+    # several radii fail: the profile refuses with the lowest one's error
+    radii = [0.0, 0.3, 0.6, 0.9]
+    with np.errstate(all="ignore"):
+        expected = _outcome(_per_radius_profile, dim, coeffs, q, radii)
+        assert "non-finite" in expected
+        assert _outcome(_zonal_power_profile, dim, coeffs, q, radii) == expected
+
+
+@pytest.mark.parametrize("K", [8, 256])
+def test_zonal_profile_makes_one_core_call_per_chunk(monkeypatch, K):
+    # a short series takes its radii in chunks of _PROFILE_CHUNK, a long one
+    # (257 terms) one at a time with lookahead
+    seen = []
+
+    def counted(dim, G, deltas, power, rtol, ahead=0):
+        seen.append((len(deltas), ahead))
+        return core(dim, G, deltas, power, rtol, ahead)
+
+    core = _zonalseries._abs_power_mean
+    monkeypatch.setattr(_zonalseries, "_abs_power_mean", counted)
+    coeffs = 0.9 ** np.arange(K + 1.0)
+    radii = np.concatenate([[0.0], _RULE_RADII])
+    expected = _per_radius_profile(3, coeffs, 1.0, radii)
+    seen.clear()
+    assert _zonal_power_profile(3, coeffs, 1.0, radii).tolist() == expected.tolist()
+    step = quadrature._PROFILE_CHUNK if K < 256 else 1
+    assert seen == [
+        (min(step, radii.size - start), _zonalseries._AHEAD_PANELS if K == 256 else 0)
+        for start in range(0, radii.size, step)
+    ]
 
 
 def test_full_norms_build_one_basis_per_level(monkeypatch):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from ballharm import MultiplierSequence, TheoremParams, condition2_sup, reports
+from ballharm import MultiplierSequence, TheoremParams, condition2_sup, probe_operator_norm, reports
 from ballharm.cli import main
 
 BUILD = ("2.4.6", "1.17.1")
@@ -29,6 +29,9 @@ FULL = {"dim": 2, "kind": "full",
         "coeffs": [[1.0], [0.5, -0.25], [0.125, 0.375], [-0.0625, 0.25]]}
 FULL3 = {"dim": 3, "kind": "full",
          "coeffs": [[1.0], [0.5, -0.25, 0.75], [0.125, 0.375, -0.5, 0.25, 0.0625]]}
+# a seeded degree-64 zonal file: its norm profiles batch their radii
+ZONAL64 = {"dim": 3, "kind": "zonal", "pole": [0.0, 0.0, 1.0],
+           "coeffs": (np.random.default_rng(64).standard_normal(65) * 0.9 ** np.arange(65.0)).tolist()}
 ZONAL_MULT = {"dim": 3, "kind": "zonal", "coeffs": [1.0, 0.5, -0.25, 0.125, -0.0625]}
 MULT_CHECK = ["mult-check", "--alpha", "0.5", "--beta", "0.25", "--rho-levels", "6"]
 NORM = ["norm", "--p", "2", "--q", "2", "--alpha", "0.5"]
@@ -36,6 +39,9 @@ NORM = ["norm", "--p", "2", "--q", "2", "--alpha", "0.5"]
 CASES = {
     "norm-zonal": (NORM + ["--input", "zonal.json"], 0,
                    "2383015adfbcf7183ee5fa0cf52c585525fbed65bb6659b734550ebb8d23bf73"),
+    # p = q: the direct double-integral check runs too
+    "norm-zonal64": (NORM + ["--input", "zonal64.json"], 0,
+                     "5c64a259d2e9160f278dfb1984990525855d8542b460e55494026425a1f65ebd"),
     "norm-full": (NORM + ["--input", "full.json"], 0,
                   "c844e0f98ad5d9b848f2211ac77aea457fcdca13c17de22639db64255ccca606"),
     "norm-full3": (NORM + ["--input", "full3.json"], 0,
@@ -75,6 +81,7 @@ def test_report_digest_pinned(name, tmp_path, monkeypatch):
     # relative paths: the input path is part of the norm report
     monkeypatch.chdir(tmp_path)
     (tmp_path / "zonal.json").write_text(json.dumps(ZONAL))
+    (tmp_path / "zonal64.json").write_text(json.dumps(ZONAL64))
     (tmp_path / "full.json").write_text(json.dumps(FULL))
     (tmp_path / "full3.json").write_text(json.dumps(FULL3))
     (tmp_path / "zm.json").write_text(json.dumps(ZONAL_MULT))
@@ -90,3 +97,12 @@ def test_full_condition2_digest_pinned(dim):
                          j_levels=[3, 4, 5], direction_count=8)
     text = reports.dumps(rep.to_payload())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_random_polynomial_probe_ratios_pinned():
+    # the probe's norms integrate short-series profiles at 96-384 radii
+    params = TheoremParams(p=1.0, alpha=0.5, beta=0.5, m=2.0, dim=3)
+    rep = probe_operator_norm("powerlaw:0.25", params, family="random_polynomials",
+                              sizes=[2, 4], seed=11)
+    assert [float(v).hex() for v in rep.norm_ratios] == [
+        "0x1.0000000000000p+0", "0x1.a93fff458bb99p-1"]

@@ -104,6 +104,11 @@ def test_abs_power_mean_bits_pinned():
     assert float(value).hex() == "0x1.637018505085dp+24"
 
 
+def _core(dim, G, delta, power, rtol, ahead=0):
+    # the adaptive core as a batch of one integrand G of theta
+    return _abs_power_mean(dim, lambda theta, owner: G(theta), [delta], power, rtol, ahead)[0]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("j", [10, 20])
 def test_core_integrates_closed_form_poisson_in_theta(n, j):
@@ -116,7 +121,7 @@ def test_core_integrates_closed_form_poisson_in_theta(n, j):
     def poisson(theta):
         return d * (2.0 - d) / (d * d + 4.0 * s * np.sin(theta / 2.0) ** 2) ** (n / 2.0)
 
-    assert _abs_power_mean(n, poisson, 0.25 * d, 1.0, 1e-13) == pytest.approx(1.0, rel=1e-12)
+    assert _core(n, poisson, 0.25 * d, 1.0, 1e-13) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_abs_mean_non_finite_series_raises():
@@ -217,8 +222,8 @@ def _traced(G):
 )
 def test_lookahead_keeps_adversarial_bits(G):
     (g_plain, plain), (g_ahead, ahead) = _traced(G), _traced(G)
-    expected = _abs_power_mean(3, g_plain, 0.01, 1.0, 1e-10)
-    value = _abs_power_mean(3, g_ahead, 0.01, 1.0, 1e-10, _AHEAD_PANELS)
+    expected = _core(3, g_plain, 0.01, 1.0, 1e-10)
+    value = _core(3, g_ahead, 0.01, 1.0, 1e-10, _AHEAD_PANELS)
     assert float(value).hex() == float(expected).hex()
     assert len(ahead) <= len(plain)
 
@@ -229,9 +234,9 @@ def test_lookahead_raises_non_finite_in_the_same_round():
     G = lambda th: np.where(np.abs(th - 1.004) < 1e-5, np.nan, th - 1.003)
     (g_plain, plain), (g_ahead, ahead) = _traced(G), _traced(G)
     with pytest.raises(AccuracyError, match="non-finite") as expected:
-        _abs_power_mean(3, g_plain, 0.01, 0.5, 1e-12)
+        _core(3, g_plain, 0.01, 0.5, 1e-12)
     with pytest.raises(AccuracyError, match="non-finite") as raised:
-        _abs_power_mean(3, g_ahead, 0.01, 0.5, 1e-12, _AHEAD_PANELS)
+        _core(3, g_ahead, 0.01, 0.5, 1e-12, _AHEAD_PANELS)
     assert str(raised.value) == str(expected.value)
     # without lookahead only the raising round met the NaN
     assert plain.index(True) == len(plain) - 1 > ahead.index(True)
@@ -256,5 +261,40 @@ def test_unsettled_integrand_exceeds_the_panel_budget():
     # values at a scale of 1e-12 rad never settle; the panel count doubles
     # each round until the budget refuses, with the round's two estimates
     with pytest.raises(AccuracyError, match="budget") as raised:
-        _abs_power_mean(3, lambda th: np.sin(1e12 * th), 0.1, 1.0, 1e-8)
+        _core(3, lambda th: np.sin(1e12 * th), 0.1, 1.0, 1e-8)
     assert math.isfinite(raised.value.coarse) and math.isfinite(raised.value.fine)
+
+
+def test_batch_raises_the_error_of_the_lowest_failing_integrand():
+    # integrand 1 meets a NaN strip in a late round, integrand 2 is NaN in
+    # round one: the batch finishes integrand 0, drops integrand 3 and
+    # raises what integrand 1 raises on its own, as a loop over them would
+    strip = lambda th: np.where(np.abs(th - 1.004) < 1e-5, np.nan, th - 1.003)
+    parts = [np.cos, strip, lambda th: np.full_like(th, np.nan), np.sin]
+
+    def G(theta, owner):
+        values = np.empty_like(theta)
+        for i, part in enumerate(parts):
+            values[owner == i] = part(theta[owner == i])
+        return values
+
+    with pytest.raises(AccuracyError, match="non-finite") as alone:
+        _core(3, strip, 0.01, 0.5, 1e-12)
+    with pytest.raises(AccuracyError, match="non-finite") as batch:
+        _abs_power_mean(3, G, [0.01] * 4, 0.5, 1e-12)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_batch_values_equal_batches_of_one():
+    parts = [np.cos, lambda th: th - 1.003, lambda th: np.exp(-th) * np.sin(5.0 * th)]
+    deltas = [0.01, 0.2, 0.05]
+
+    def G(theta, owner):
+        values = np.empty_like(theta)
+        for i, part in enumerate(parts):
+            values[owner == i] = part(theta[owner == i])
+        return values
+
+    alone = [_core(3, part, d, 0.5, 1e-12) for part, d in zip(parts, deltas)]
+    batch = _abs_power_mean(3, G, deltas, 0.5, 1e-12)
+    assert [float(v).hex() for v in batch] == [float(v).hex() for v in alone]
