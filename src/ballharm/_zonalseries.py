@@ -22,10 +22,13 @@ integral of a long series bisects for 8-10 rounds with only 2-6 new
 panels each, at the kinks of |G| where G changes sign.  For a series of
 more than ``_AHEAD_TERMS`` terms the core therefore looks ahead: the call
 that evaluates the halves of a failing panel also evaluates the panels
-later rounds will bisect toward its estimated zero, so a deep growth
-integral calls the recurrence twice instead of about nine times.  A short
-series pays the same overhead at each of the many radii of a spherical
-mean profile (a mixed norm's radial rule, a probe's); so
+later rounds will bisect toward its estimated zero, so such an integral
+calls the recurrence about twice instead of about nine times.  The long
+series that still come here are ``finite:K`` multipliers, user sequences
+and growth series at fractional order; the deep growth integrals of the
+named families take a closed-form kernel instead (``multipliers``).  A
+short series pays the same overhead at each of the many radii of a
+spherical mean profile (a mixed norm's radial rule, a probe's); so
 ``_zonal_abs_power_means`` integrates a batch of coefficient rows, one
 per radius, in one loop whose rounds call the recurrence once for the
 panels of every row, with each row's weights gathered per panel.

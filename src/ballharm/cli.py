@@ -10,7 +10,8 @@ mult-check  certify a coefficient multiplier: growth criterion, probe
             lower bounds, and the agreement verdict.
 selftest    run the built-in acceptance suite.
 
-Exit codes: 0 success / verdicts agree, 2 usage or validation failure,
+Exit codes: 0 success / verdicts agree, 1 a lemma or selftest check
+failed (its report is still written), 2 usage or validation failure,
 3 accuracy failure (refinements disagree), 4 theorem disagreement,
 5 inconclusive.  Reports are deterministic structured text; numbers carry
 17 significant digits.  No command mutates its inputs.
@@ -60,6 +61,7 @@ from .quadrature import (
 from ._zonalseries import zonal_series_values
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ACCURACY = 3
 EXIT_DISAGREE = 4
@@ -79,6 +81,11 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ballharm",
         description="harmonic mixed-norm spaces and coefficient multipliers on the unit ball",
+        epilog=(
+            "exit codes: 0 success / verdicts agree, 1 a lemma or selftest check failed "
+            "(its report is still written), 2 usage or validation failure, 3 accuracy "
+            "failure (refinements disagree), 4 theorem disagreement, 5 inconclusive"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,7 +254,7 @@ def cmd_lemma(args):
     )
     print(f"lemma {args.id}: {'PASS' if rep.passed else 'FAIL'}  [{rep.parameter_grid}]")
     _emit(report, args.out)
-    return EXIT_OK if rep.passed else 1
+    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
 def _load_multiplier_arg(spec, dim):
@@ -325,7 +332,7 @@ def cmd_selftest(args):
 
     ok, report = run_all(fast=args.fast, seed=args.seed)
     _emit(report, args.out)
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main(argv=None):

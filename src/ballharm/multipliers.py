@@ -30,6 +30,17 @@ of the process (``_growth_curve``): each I(s) is computed once, at s itself.
 ``condition2_sup`` reads those values at its grid radii; the qm-kernel
 probe reads a log-log spline through them, built once per ladder depth.
 
+I(s) has two routes, picked by ``_growth_integral`` from the input alone.
+The named families ``ones`` and ``powerlaw:t`` at integer m >= 0 have a
+closed-form kernel: Taylor ("jet") arithmetic on the m+1-th derivative of
+the Poisson kernel for ``ones``, and for ``powerlaw:t`` a mixture of those
+kernels at s e^-u under a graded u-rule.  It costs the same at any depth,
+so it takes every I(s) whose series would need more than ``_AHEAD_TERMS``
+terms, and those past the series' degree cap (grid levels j = 11..14).
+Short series, fractional m, ``finite:K`` and user sequences sum the
+truncated zonal series.  Both routes integrate |G| with the adaptive core
+of ``_zonalseries``.
+
 Boundedness decisions use fixed documented thresholds: the criterion slope
 threshold 0.02 with a 1% non-increase test on the last three Phi values,
 and the probe slope threshold 0.05.  Exponent fits use the deepest
@@ -53,8 +64,8 @@ from .expansion import (
     _truncation_degree,
 )
 from .quadrature import _settle_by_doubling, _zonal_power_profile, radial_rule, sphere_rule
-from .specfun import _log_lambda_coeff, _sph_dim_array
-from ._zonalseries import zonal_abs_power_mean
+from .specfun import _gauss_jacobi, _log_lambda_coeff, _sph_dim_array
+from ._zonalseries import _AHEAD_TERMS, _abs_power_mean, zonal_abs_power_mean
 
 __all__ = [
     "TheoremParams",
@@ -75,6 +86,12 @@ PHI_TAIL_RATIO = 1.01
 PROBE_SLOPE_UNBOUNDED = 0.05
 
 _SERIES_DEGREE_CAP = 500_000
+# first mesh panel of a closed-form growth integral, in units of 1 - s,
+# and the share of rtol its adaptive loop asks for: the kernel is cheap,
+# and at rtol itself the kinks of |G| at its zeros leave errors up to
+# rtol/4, above the series route's at some radii
+_CLOSED_MESH = 0.25
+_CLOSED_RTOL = 0.01
 
 # seed of every seeded probe, lemma suite and selftest unless one is given
 DEFAULT_SEED = 1789
@@ -204,10 +221,12 @@ def _coerce_zonal_family(g):
 # ---------------------------------------------------------------------------
 
 
-def _series_degree(n, m, family, s, rel_tol=1e-7):
-    """Truncation degree with relative tail below rel_tol at parameter s.
+def _series_degree(n, m, family, s, rtol=1e-7):
+    """Truncation degree of the growth series of I(s) at tolerance rtol.
 
-    Tail bound: the omitted terms gamma_k |c_k| d_k s^k are dominated by a
+    The peak term exceeds the integral by roughly (1-s)^-(n-1), so the
+    tail must stay below that fraction of rtol/10 of the peak term.  Tail
+    bound: the omitted terms gamma_k |c_k| d_k s^k are dominated by a
     geometric sequence once s*(1 + (m+1)/(k + n/2))*(1 + (n-1)/(k+1)) < 1,
     using |c| non-increasing (or finite support).
     """
@@ -215,6 +234,7 @@ def _series_degree(n, m, family, s, rel_tol=1e-7):
         return int(family.finite_degree)
     if s <= 0.0:
         return 0
+    rel_tol = max(min(rtol, 1e-7) * 1e-1 * (1.0 - s) ** (n - 1), 1e-14)
 
     def log_terms(kmax):
         k = np.arange(kmax + 1, dtype=float)
@@ -239,19 +259,158 @@ def _series_degree(n, m, family, s, rel_tol=1e-7):
     return K
 
 
+def _ones_kernel(n, m, s, d, sin2):
+    """sum_k gamma_k s^k Z_k(cos theta) for c_k = 1 and integer m >= 0, at
+    sin2 = sin^2(theta/2), with d = 1 - s given apart to keep its digits;
+    s, d and sin2 broadcast.
+
+    The sum is s^(1-n/2)/m! d^(m+1)/ds^(m+1) [s^(n/2+m) P(s, theta)] with
+    the Poisson kernel P = (1 - s^2) D^(-n/2), D = d^2 + 4 s sin2.  Taylor
+    ("jet") arithmetic to order M = m + 1 in h = r eta, r = sqrt(D), gives
+    that derivative exactly: D(s + h) = D (1 - 2 x eta + eta^2) with
+    x = (d - 2 sin2) / r in [-1, 1], whose binomial series in eta has the
+    Gegenbauer polynomials C_i^(n/2)(x) for coefficients, summed by their
+    three-term recurrence as F_i = C_i^(n/2)(x) (s/r)^i.  With
+    b_i = binom(n/2 + m, i) from (s + h)^(n/2+m), the kernel is
+    M r^-n sum_j F_j [(1 - s^2) b_(M-j) - s^2 (2 b_(M-1-j) + b_(M-2-j))].
+    Every factor is O(1) but F, which carries the peak scale (s/r)^j.
+    """
+    M = int(m) + 1
+    lam = n / 2.0
+    r2 = d * d + 4.0 * s * sin2
+    r = np.sqrt(r2)
+    q = s / r
+    xq = (d - 2.0 * sin2) / r * q
+    qq = q * q
+    # binom(n/2 + m, i) for i = 0..M, behind two zeros for b_(-1), b_(-2)
+    b = [0.0, 0.0, 1.0]
+    for i in range(1, M + 1):
+        b.append(b[-1] * (lam + m - i + 1.0) / i)
+    one_s2, s2 = d * (2.0 - d), s * s
+    f_prev, f = 1.0, 2.0 * lam * xq
+    acc = (one_s2 * b[M + 2] - s2 * (2.0 * b[M + 1] + b[M])) * f_prev
+    for j in range(1, M + 1):
+        if j > 1:
+            f_prev, f = f, (2.0 * (j + lam - 1.0) * xq * f - (j + 2.0 * lam - 2.0) * qq * f_prev) / j
+        i = M - j
+        acc = acc + (one_s2 * b[i + 2] - s2 * (2.0 * b[i + 1] + b[i])) * f
+    return M * acc / r2 ** lam
+
+
+# the power-law u-rule: Gauss nodes per panel, the first panel's width in
+# v and the growth and cap of the later widths (the cap narrows for t > 2),
+# and the reach in u beyond 2t, where e^-u u^(t-1) / Gamma(t) leaves a
+# tail below 1e-16 of gamma_0
+_MIXTURE_NODES = 16
+_MIXTURE_PANEL = (0.75, 1.5, 2.5)
+_MIXTURE_U_CUT = 40.0
+# theta x v values of a power-law kernel formed at once
+_MIXTURE_CHUNK = 2**14
+
+
+def _mixture_rule(t, d):
+    """Nodes v and log weights of the rule for
+    Gamma(t)^-1 int_0^inf u^(t-1) f(u) du = delta^t Gamma(t)^-1
+    int_0^inf expm1(v)^(t-1) e^v f(delta expm1(v)) dv, without delta^t:
+    a Gauss-Jacobi panel that carries v^(t-1) first, then Gauss-Legendre
+    panels of growing width, up to where u = d expm1(v) passes the cut at
+    the smallest scale delta = d.  Logs keep large t finite."""
+    first, grow, widest = _MIXTURE_PANEL
+    # u^(t-1) e^-u has width sqrt(t - 1) at u = t - 1: 1/sqrt(t - 1) in v
+    widest /= math.sqrt(max(t - 1.0, 1.0))
+    v_max = math.log1p((_MIXTURE_U_CUT + 2.0 * t) / d)
+    edges = [0.0, first]
+    while edges[-1] < v_max:
+        edges.append(edges[-1] + min((edges[-1] - edges[-2]) * grow, widest))
+    xj, wj = _gauss_jacobi(_MIXTURE_NODES, 0.0, t - 1.0)
+    xl, wl = _gauss_jacobi(_MIXTURE_NODES, 0.0, 0.0)
+    v = [0.5 * first * (1.0 + xj)]
+    # the Jacobi weights carry v^(t-1): the integrand keeps (expm1(v)/v)^(t-1)
+    log_w = [np.log(wj) + t * math.log(0.5 * first) + (t - 1.0) * np.log(np.expm1(v[0]) / v[0])]
+    for a, b in zip(edges[1:-1], edges[2:]):
+        v.append(a + 0.5 * (b - a) * (1.0 + xl))
+        log_w.append(np.log(0.5 * (b - a) * wl) + (t - 1.0) * np.log(np.expm1(v[-1])))
+    v = np.concatenate(v)
+    return v, np.concatenate(log_w) + v - math.lgamma(t)
+
+
+def _powerlaw_kernel(n, m, t, s, rule, theta):
+    """sum_k gamma_k (k+1)^-t s^k Z_k(cos theta) for t > 0 and integer
+    m >= 0: by (k+1)^-t = Gamma(t)^-1 int_0^inf u^(t-1) e^-(k+1)u du, a
+    mixture of ``_ones_kernel`` at s e^-u.  That kernel varies in u on the
+    scale delta = (1 - s) + 2 sin(theta/2), so u = delta expm1(v) makes the
+    integrand smooth in v, integrated by ``rule``, the ``_mixture_rule`` of
+    (t, 1 - s); theta x v values are formed ``_MIXTURE_CHUNK`` at a time."""
+    d = 1.0 - s
+    v, log_w = rule
+    em = np.expm1(v)
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.ravel()
+    out = np.empty_like(flat)
+    step = max(_MIXTURE_CHUNK // v.size, 1)
+    for start in range(0, flat.size, step):
+        half = 0.5 * flat[start : start + step, None]
+        delta = d + 2.0 * np.sin(half)
+        u = delta * em
+        # 1 - s e^-u, to the digits of d
+        kern = _ones_kernel(n, m, s * np.exp(-u), d - s * np.expm1(-u), np.sin(half) ** 2)
+        weights = np.exp(log_w + t * np.log(delta) - u)
+        out[start : start + step] = (weights * kern).sum(axis=1)
+    return out.reshape(theta.shape)
+
+
+def _closed_kernel(n, m, family, s):
+    """G(theta) = sum_k gamma_k c_k s^k Z_k(cos theta) in closed form, as a
+    function of theta, for the named families ``ones`` and ``powerlaw:t``
+    at integer m >= 0; None for every other family or order."""
+    if not (float(m).is_integer() and m >= 0):
+        return None
+    if family.key == ("ones",) or family.key == ("powerlaw", 0.0):
+        d = 1.0 - s
+        return lambda theta: _ones_kernel(n, int(m), s, d, np.sin(0.5 * theta) ** 2)
+    if family.key[0] == "powerlaw":
+        t = family.key[1]
+        rule = _mixture_rule(t, 1.0 - s)
+        return lambda theta: _powerlaw_kernel(n, int(m), t, s, rule, theta)
+    return None
+
+
+def _growth_series(n, m, family, s, K):
+    """The zonal coefficients gamma_k c_k s^k, k = 0..K, of I(s)."""
+    k = np.arange(K + 1, dtype=float)
+    return np.exp(_log_lambda_coeff(n, k, m) + k * math.log(s)) * family.values(K)
+
+
 def _growth_integral(n, m, family, s, rtol=1e-7):
-    """I(s): normalized sphere integral of |sum_k gamma_k c_k s^k Z_k|."""
+    """I(s): normalized sphere integral of |sum_k gamma_k c_k s^k Z_k|.
+
+    The one entry point for I(s), with two routes picked from the input.
+    The named families ``ones`` and ``powerlaw:t`` at integer m >= 0 take
+    the closed-form kernel (``_closed_kernel``) wherever the series would
+    need more than ``_AHEAD_TERMS`` terms or its degree search passes
+    ``_SERIES_DEGREE_CAP``; that kernel costs the same at any depth.  All
+    else sums the series truncated at the degree ``_series_degree`` finds:
+    short series, fractional m, ``finite:K`` and user sequences.  Both
+    routes integrate |G| with the adaptive core of ``_zonalseries``, the
+    closed one at ``_CLOSED_RTOL`` times rtol.
+    """
     c0 = float(family.values(0)[0])
     gamma0 = math.exp(_log_lambda_coeff(n, np.array(0.0), m))
     if s == 0.0:
         return abs(c0) * gamma0
-    # the peak term exceeds the integral by roughly (1-s)^-(n-1), so scale
-    # the peak-relative tail tolerance down by that factor
-    rel = min(rtol, 1e-7) * 1e-1 * (1.0 - s) ** (n - 1)
-    K = _series_degree(n, m, family, s, rel_tol=max(rel, 1e-14))
-    k = np.arange(K + 1, dtype=float)
-    zcoeffs = np.exp(_log_lambda_coeff(n, k, m) + k * math.log(s)) * family.values(K)
-    return zonal_abs_power_mean(n, zcoeffs, 1.0, rtol=rtol)
+    try:
+        K = _series_degree(n, m, family, s, rtol)
+    except AccuracyError:
+        closed = _closed_kernel(n, m, family, s)
+        if closed is None:
+            raise
+    else:
+        closed = _closed_kernel(n, m, family, s) if K + 1 > _AHEAD_TERMS else None
+    if closed is not None:
+        # the peak of G has angular width about 1 - s
+        G = lambda theta, owner: closed(theta)
+        return _abs_power_mean(n, G, [_CLOSED_MESH * (1.0 - s)], 1.0, _CLOSED_RTOL * rtol)[0]
+    return zonal_abs_power_mean(n, _growth_series(n, m, family, s, K), 1.0, rtol=rtol)
 
 
 class _GrowthCurve:

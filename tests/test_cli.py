@@ -202,6 +202,28 @@ def test_lemma_command(tmp_path):
     assert rep["values"]["measured"]["max_rel_error"] <= 1e-10
 
 
+def test_failed_lemma_exits_1_and_writes_its_report(tmp_path, monkeypatch, capsys):
+    from ballharm import cli
+    from ballharm.lemmas import LemmaReport
+
+    failed = LemmaReport(4, "forced", {"max_rel_error": 1.0}, 1e-10, False)
+    monkeypatch.setattr(cli, "check_lemma4", lambda n, m: failed)
+    out = tmp_path / "lemma.json"
+    assert main(["lemma", "--id", "4", "--out", str(out)]) == 1
+    assert "lemma 4: FAIL" in capsys.readouterr().out
+    rep = reports.load_from(out)
+    assert rep["verdicts"]["pass"] is False
+    assert rep["values"]["measured"]["max_rel_error"] == 1.0
+
+
+def test_help_lists_every_exit_code(capsys):
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for code in ("0 success", "1 a lemma or selftest check failed", "2 usage",
+                 "3 accuracy", "4 theorem", "5 inconclusive"):
+        assert code in text
+
+
 def test_lemma_bad_id_exits_2():
     assert main(["lemma", "--id", "7"]) == 2
 
@@ -256,6 +278,19 @@ def test_mult_check_reports_byte_identical(tmp_path):
         assert code == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+def test_mult_check_deep_ladder_exits_0(tmp_path):
+    # grid levels to j = 14, where the truncated series would pass its
+    # degree cap: the closed-form kernel carries the ``ones`` curve there
+    out = tmp_path / "mc.json"
+    code = main(["mult-check", "--alpha", "0.5", "--beta", "0.25", "--multiplier", "ones",
+                 "--rho-levels", "14", "--out", str(out)])
+    assert code == 0
+    rep = reports.load_from(out)
+    assert rep["verdicts"] == {"condition2": "unbounded", "probe": "unbounded",
+                               "equivalence": "PASS"}
+    assert rep["values"]["condition2"]["rho_grid"][-1] == 1.0 - 2.0**-14
 
 
 @pytest.mark.parametrize("levels", ["2", "3"])

@@ -102,6 +102,79 @@ def test_growth_integral_series_degree_pinned(monkeypatch, family, j, expected):
     assert seen == [expected]
 
 
+# theta = 0 and pi, an even grid, and a graded run into the peak at theta = 0
+_THETA = np.concatenate([[0.0, np.pi], np.linspace(0.0, np.pi, 97)[1:-1], np.geomspace(1e-4, 0.3, 24)])
+
+
+@pytest.mark.parametrize("family", ["ones", "powerlaw:0.25", "powerlaw:0.5", "powerlaw:1"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_kernel_matches_truncated_series(n, family):
+    # the closed form against the series it replaces, truncated where
+    # s^K is far below double precision
+    fam = multiplier_family(family)
+    for m in (0, 1, 2, 3):
+        for s in (0.5, 0.9):
+            K = 1200
+            k = np.arange(K + 1, dtype=float)
+            series = lambda_coeff(n, k, m) * s**k * fam.values(K)
+            expected = zonal_series_values(n, series, np.cos(_THETA))
+            got = multipliers._closed_kernel(n, float(m), fam, s)(_THETA)
+            err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+            assert err <= 1e-12, (m, s, err)
+
+
+def _route(monkeypatch, n, m, family, s):
+    """Which route ``_growth_integral`` takes: "closed" or "series"."""
+    taken = []
+    monkeypatch.setattr(multipliers, "_abs_power_mean",
+                        lambda *args: taken.append("closed") or [1.0])
+    monkeypatch.setattr(multipliers, "zonal_abs_power_mean",
+                        lambda *args, **kwargs: taken.append("series") or 1.0)
+    multipliers._growth_integral(n, m, family, s)
+    return taken
+
+
+@pytest.mark.parametrize(
+    "family,m,j,route",
+    [
+        # named families at integer m, beyond _AHEAD_TERMS series terms
+        ("ones", 2.0, 8, "closed"),
+        ("powerlaw:0.5", 3.0, 8, "closed"),
+        ("powerlaw:0", 0.0, 8, "closed"),
+        # past the degree cap
+        ("ones", 2.0, 14, "closed"),
+        ("powerlaw:0.5", 2.0, 14, "closed"),
+        # short series stay on the series
+        ("ones", 2.0, 1, "series"),
+        ("powerlaw:0.5", 2.0, 1, "series"),
+        # fractional m, finite:K and user sequences at any depth
+        ("ones", 1.5, 8, "series"),
+        ("powerlaw:0.5", 2.5, 8, "series"),
+        ("finite:4000", 2.0, 8, "series"),
+        (_family_from_values(np.ones(4000)), 2.0, 8, "series"),
+    ],
+)
+def test_growth_integral_route(monkeypatch, family, m, j, route):
+    fam = multiplier_family(family) if isinstance(family, str) else family
+    assert _route(monkeypatch, 3, m, fam, 1.0 - 2.0**-j) == [route]
+
+
+def test_series_route_past_the_degree_cap_refuses():
+    # a fractional m has no closed form, so j = 14 still refuses
+    with pytest.raises(AccuracyError, match="degree cap"):
+        multipliers._growth_integral(3, 1.5, multiplier_family("ones"), 1.0 - 2.0**-14)
+
+
+@pytest.mark.parametrize("family,verdict", [("ones", "unbounded"), ("powerlaw:0.5", "bounded")])
+def test_condition2_deep_ladder_verdicts(family, verdict):
+    # j = 3..14: I grows like (1 - rho)^-(m + 1 - t), against the weight
+    # exponent m + 1 - alpha + beta = 2.75, so Phi's exponent is 0.25 - t
+    rep = condition2_sup(family, params_for(), j_levels=range(3, 15))
+    assert rep.verdict == verdict
+    t = 0.0 if family == "ones" else 0.5
+    assert rep.phi_exponent == pytest.approx(0.25 - t, abs=0.02)
+
+
 def test_condition2_integral_constant_multiplier():
     # only the degree-0 term: the integrand is |gamma_0| everywhere
     p = TheoremParams(p=1.0, alpha=0.5, beta=0.25, m=1.0, dim=2)

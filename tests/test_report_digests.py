@@ -46,15 +46,17 @@ CASES = {
                   "c844e0f98ad5d9b848f2211ac77aea457fcdca13c17de22639db64255ccca606"),
     "norm-full3": (NORM + ["--input", "full3.json"], 0,
                    "6ce722b395c78fc4999cf66d7e2d288e723400132b483c4606e21b89e3697682"),
+    # the ``ones`` curve takes the closed-form kernel from j = 3 on
     "mult-check-ones": (["mult-check", "--alpha", "0.5", "--beta", "0.25",
                          "--multiplier", "ones", "--rho-levels", "6"], 0,
-                        "c68ca79771c8dd662c0172aad64f6257e9e31d8a36b66c97c6a0e6c882150642"),
+                        "7be1c93bff5491481c0fb4a76c0c815136ede72b3a1bf48cf2a013c3a9730f2a"),
     # numerator and denominator growth curves differ
     "mult-check-powerlaw": (MULT_CHECK + ["--multiplier", "powerlaw:0.5"], 0,
-                            "3391e3cd14d1cf27a7d3e0673f7461f43f1c1e9538fc0dcd9236b633d1228fd2"),
-    # a multiplier file: the curve is keyed by the coefficient values
+                            "8a87f0a0c334a0d539073ed03f1a15b2af3cbc47a0d4c054095ef9adb5854306"),
+    # a multiplier file: the curve is keyed by the coefficient values; the
+    # probe's denominator is the ``ones`` curve, so its ratios move with it
     "mult-check-file": (MULT_CHECK + ["--multiplier", "zm.json"], 0,
-                        "6ce8396757a56e36eccf018ee976c9ce7ef1359062450e50712e81762eea3e51"),
+                        "5b7d94b39c2741f58f32ef89ae90aa75d782cba524cbcf5e7033bc606e1048aa"),
     "lemma-4": (["lemma", "--id", "4"], 0,
                 "b08bdd770c738afaec22034670d698f74fb12e851a2da69b85420f9e17628b69"),
     "lemma-5": (["lemma", "--id", "5"], 0,

@@ -15,7 +15,7 @@ from ballharm._zonalseries import (
     zonal_series_values,
 )
 from ballharm.errors import AccuracyError
-from ballharm.multipliers import _growth_integral, multiplier_family
+from ballharm.multipliers import multiplier_family
 from ballharm.specfun import _sph_dim_array
 
 
@@ -99,8 +99,9 @@ def test_abs_power_mean_bits_pinned():
     ]
     for n, coeffs, power, bits in cases:
         assert float(zonal_abs_power_mean(n, coeffs, power, rtol=1e-9)).hex() == bits
-    # the j = 8 growth integral of ``ones`` (n = 3, m = 2), K = 12,569
-    value = _growth_integral(3, 2.0, multiplier_family("ones"), 1.0 - 2.0**-8)
+    # the j = 8 growth series of ``ones`` (n = 3, m = 2), K = 12,569, which
+    # ``_growth_integral`` integrates by the closed-form kernel instead
+    value = zonal_abs_power_mean(3, _growth_series(3, 2.0, 8), 1.0, rtol=1e-7)
     assert float(value).hex() == "0x1.637018505085dp+24"
 
 
@@ -158,12 +159,11 @@ def test_series_sum_matches_allocating_loop():
 
 
 def _growth_series(n, m, j):
-    """The zonal coefficients of the ``ones`` growth integral I(1 - 2^-j)."""
-    seen = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(multipliers, "zonal_abs_power_mean", lambda dim, z, q, rtol: seen.append(z))
-        _growth_integral(n, m, multiplier_family("ones"), 1.0 - 2.0**-j)
-    return seen[0]
+    """The zonal coefficients of the ``ones`` growth series at s = 1 - 2^-j,
+    truncated where the series route of I(s) truncates it."""
+    family, s = multiplier_family("ones"), 1.0 - 2.0**-j
+    K = multipliers._series_degree(n, m, family, s)
+    return multipliers._growth_series(n, m, family, s, K)
 
 
 def _outcome(f, *args):
@@ -243,8 +243,10 @@ def test_lookahead_raises_non_finite_in_the_same_round():
 
 
 def test_deep_growth_integral_makes_few_series_calls(monkeypatch):
-    # j = 10, K = 54,908: one call for the first round, one for the rest
-    # (nine calls, one per round, without lookahead)
+    # the j = 10 growth series of ``ones``, K = 54,908: one call for the
+    # first round, one for the rest (nine calls, one per round, without
+    # lookahead)
+    zcoeffs = _growth_series(3, 2.0, 10)
     sizes = []
 
     def counted(w, lam, t):
@@ -252,7 +254,7 @@ def test_deep_growth_integral_makes_few_series_calls(monkeypatch):
         return _series_sum(w, lam, t)
 
     monkeypatch.setattr(_zonalseries, "_series_sum", counted)
-    _growth_integral(3, 2.0, multiplier_family("ones"), 1.0 - 2.0**-10)
+    zonal_abs_power_mean(3, zcoeffs, 1.0, 1e-7)
     assert len(sizes) <= 3
     assert max(sizes) <= 48 * _AHEAD_PANELS
 
