@@ -28,10 +28,13 @@ series that still come here are ``finite:K`` multipliers, user sequences
 and growth series at fractional order; the deep growth integrals of the
 named families take a closed-form kernel instead (``multipliers``).  A
 short series pays the same overhead at each of the many radii of a
-spherical mean profile (a mixed norm's radial rule, a probe's); so
+spherical mean profile (a mixed norm's radial rule, a probe's) or of a
+growth curve (the qm-kernel probe's radii below its ladder); so
 ``_zonal_abs_power_means`` integrates a batch of coefficient rows, one
 per radius, in one loop whose rounds call the recurrence once for the
-panels of every row, with each row's weights gathered per panel.
+panels of every row, with each row's weights gathered per panel.  Rows
+of different lengths are zero-padded to one width: a zero term adds +-0
+to a row's sum, so each row keeps its bits.
 """
 
 import itertools

@@ -28,7 +28,9 @@ Two independent procedures are provided and cross-checked:
 Both read one growth function per (n, m, family, rtol), kept for the life
 of the process (``_growth_curve``): each I(s) is computed once, at s itself.
 ``condition2_sup`` reads those values at its grid radii; the qm-kernel
-probe reads a log-log spline through them, built once per ladder depth.
+probe reads a log-log spline through them, built once per ladder depth,
+and reads its radii below the ladder at s itself, whose short series the
+curve integrates in batches.
 
 I(s) has two routes, picked by ``_growth_integral`` from the input alone.
 The named families ``ones`` and ``powerlaw:t`` at integer m >= 0 have a
@@ -36,10 +38,10 @@ closed-form kernel: Taylor ("jet") arithmetic on the m+1-th derivative of
 the Poisson kernel for ``ones``, and for ``powerlaw:t`` a mixture of those
 kernels at s e^-u under a graded u-rule.  It costs the same at any depth,
 so it takes every I(s) whose series would need more than ``_AHEAD_TERMS``
-terms, and those past the series' degree cap (grid levels j = 11..14).
-Short series, fractional m, ``finite:K`` and user sequences sum the
-truncated zonal series.  Both routes integrate |G| with the adaptive core
-of ``_zonalseries``.
+terms, which includes those past the series' degree cap (grid levels
+j = 11..14).  Short series, fractional m, ``finite:K`` and user sequences
+sum the truncated zonal series.  Both routes integrate |G| with the
+adaptive core of ``_zonalseries``.
 
 Boundedness decisions use fixed documented thresholds: the criterion slope
 threshold 0.02 with a 1% non-increase test on the last three Phi values,
@@ -63,9 +65,20 @@ from .expansion import (
     _per_entry,
     _truncation_degree,
 )
-from .quadrature import _settle_by_doubling, _zonal_power_profile, radial_rule, sphere_rule
+from .quadrature import (
+    _PROFILE_CHUNK,
+    _settle_by_doubling,
+    _zonal_power_profile,
+    radial_rule,
+    sphere_rule,
+)
 from .specfun import _gauss_jacobi, _log_lambda_coeff, _sph_dim_array
-from ._zonalseries import _AHEAD_TERMS, _abs_power_mean, zonal_abs_power_mean
+from ._zonalseries import (
+    _AHEAD_TERMS,
+    _abs_power_mean,
+    _zonal_abs_power_means,
+    zonal_abs_power_mean,
+)
 
 __all__ = [
     "TheoremParams",
@@ -221,7 +234,7 @@ def _coerce_zonal_family(g):
 # ---------------------------------------------------------------------------
 
 
-def _series_degree(n, m, family, s, rtol=1e-7):
+def _series_degree(n, m, family, s, rtol=1e-7, cap=_SERIES_DEGREE_CAP):
     """Truncation degree of the growth series of I(s) at tolerance rtol.
 
     The peak term exceeds the integral by roughly (1-s)^-(n-1), so the
@@ -229,6 +242,11 @@ def _series_degree(n, m, family, s, rtol=1e-7):
     bound: the omitted terms gamma_k |c_k| d_k s^k are dominated by a
     geometric sequence once s*(1 + (m+1)/(k + n/2))*(1 + (n-1)/(k+1)) < 1,
     using |c| non-increasing (or finite support).
+
+    A ``cap`` below ``_SERIES_DEGREE_CAP``, a power of two, stops the
+    search at its window of ``cap`` terms and returns None when K >= cap;
+    a K it returns is the full search's, which tries the same windows
+    first.  Past the degree cap itself the search raises AccuracyError.
     """
     if family.finite_degree is not None:
         return int(family.finite_degree)
@@ -245,10 +263,8 @@ def _series_degree(n, m, family, s, rtol=1e-7):
             + k * math.log(s)
         )
 
-    K = _truncation_degree(
-        log_terms, n, s, m + 1.0, math.log(rel_tol), relative=True, cap=_SERIES_DEGREE_CAP
-    )
-    if K is None:
+    K = _truncation_degree(log_terms, n, s, m + 1.0, math.log(rel_tol), relative=True, cap=cap)
+    if K is None and cap >= _SERIES_DEGREE_CAP:
         raise AccuracyError(
             f"series truncation cannot reach rel_tol={rel_tol:g} at s={s:g} "
             f"within the degree cap {_SERIES_DEGREE_CAP}",
@@ -359,20 +375,22 @@ def _powerlaw_kernel(n, m, t, s, rule, theta):
     return out.reshape(theta.shape)
 
 
+def _has_closed_kernel(m, family):
+    """Whether I(s) has a closed-form kernel: the named families ``ones``
+    and ``powerlaw:t`` at integer m >= 0."""
+    return float(m).is_integer() and m >= 0 and family.key[0] in ("ones", "powerlaw")
+
+
 def _closed_kernel(n, m, family, s):
     """G(theta) = sum_k gamma_k c_k s^k Z_k(cos theta) in closed form, as a
-    function of theta, for the named families ``ones`` and ``powerlaw:t``
-    at integer m >= 0; None for every other family or order."""
-    if not (float(m).is_integer() and m >= 0):
-        return None
-    if family.key == ("ones",) or family.key == ("powerlaw", 0.0):
+    function of theta, for a family and order ``_has_closed_kernel``
+    admits."""
+    t = family.key[1] if family.key[0] == "powerlaw" else 0.0
+    if t == 0.0:
         d = 1.0 - s
         return lambda theta: _ones_kernel(n, int(m), s, d, np.sin(0.5 * theta) ** 2)
-    if family.key[0] == "powerlaw":
-        t = family.key[1]
-        rule = _mixture_rule(t, 1.0 - s)
-        return lambda theta: _powerlaw_kernel(n, int(m), t, s, rule, theta)
-    return None
+    rule = _mixture_rule(t, 1.0 - s)
+    return lambda theta: _powerlaw_kernel(n, int(m), t, s, rule, theta)
 
 
 def _growth_series(n, m, family, s, K):
@@ -387,28 +405,24 @@ def _growth_integral(n, m, family, s, rtol=1e-7):
     The one entry point for I(s), with two routes picked from the input.
     The named families ``ones`` and ``powerlaw:t`` at integer m >= 0 take
     the closed-form kernel (``_closed_kernel``) wherever the series would
-    need more than ``_AHEAD_TERMS`` terms or its degree search passes
-    ``_SERIES_DEGREE_CAP``; that kernel costs the same at any depth.  All
-    else sums the series truncated at the degree ``_series_degree`` finds:
-    short series, fractional m, ``finite:K`` and user sequences.  Both
-    routes integrate |G| with the adaptive core of ``_zonalseries``, the
-    closed one at ``_CLOSED_RTOL`` times rtol.
+    need more than ``_AHEAD_TERMS`` terms; that kernel costs the same at
+    any depth.  Their degree search stops at windows of ``_AHEAD_TERMS``
+    terms, so it never builds the long windows a deep s would need.  All
+    else sums the series truncated at the degree ``_series_degree`` finds,
+    with the full search: short series, fractional m, ``finite:K`` and
+    user sequences.  Both routes integrate |G| with the adaptive core of
+    ``_zonalseries``, the closed one at ``_CLOSED_RTOL`` times rtol.
     """
     c0 = float(family.values(0)[0])
     gamma0 = math.exp(_log_lambda_coeff(n, np.array(0.0), m))
     if s == 0.0:
         return abs(c0) * gamma0
-    try:
-        K = _series_degree(n, m, family, s, rtol)
-    except AccuracyError:
-        closed = _closed_kernel(n, m, family, s)
-        if closed is None:
-            raise
-    else:
-        closed = _closed_kernel(n, m, family, s) if K + 1 > _AHEAD_TERMS else None
-    if closed is not None:
+    closed = _has_closed_kernel(m, family)
+    K = _series_degree(n, m, family, s, rtol, _AHEAD_TERMS if closed else _SERIES_DEGREE_CAP)
+    if K is None:
+        kernel = _closed_kernel(n, m, family, s)
         # the peak of G has angular width about 1 - s
-        G = lambda theta, owner: closed(theta)
+        G = lambda theta, owner: kernel(theta)
         return _abs_power_mean(n, G, [_CLOSED_MESH * (1.0 - s)], 1.0, _CLOSED_RTOL * rtol)[0]
     return zonal_abs_power_mean(n, _growth_series(n, m, family, s, K), 1.0, rtol=rtol)
 
@@ -417,8 +431,9 @@ class _GrowthCurve:
     """I(s) for one (n, m, family, rtol).  ``exact`` computes each I(s) once,
     at s itself.  ``at`` reads a smooth log-log interpolant through the
     ladder 1 - s = 2^-j (j = 0.25..1.75 by quarters, then 2..J by halves),
-    built once per depth J from ``exact`` values; radii below the ladder
-    are read from ``exact``."""
+    built once per depth J from ``exact`` values, and reads radii below the
+    ladder at s itself.  Before it reads, ``_fill`` computes the values it
+    lacks, the short series in batches."""
 
     def __init__(self, n, m, family, rtol):
         self.n, self.m, self.family, self.rtol = n, m, family, rtol
@@ -432,24 +447,58 @@ class _GrowthCurve:
             self._exact[s] = _growth_integral(self.n, self.m, self.family, s, self.rtol)
         return self._exact[s]
 
+    def _fill(self, radii):
+        """Compute the I(s) that ``exact`` lacks at ``radii``, s = 0 aside,
+        with the bits and errors of ``exact`` called radius by radius.
+
+        A run of radii whose series has at most ``_AHEAD_TERMS`` terms is
+        integrated ``_PROFILE_CHUNK`` rows per adaptive loop, each row
+        zero-padded to the run's widest: a zero term adds +-0 to the sum,
+        and the batched core keeps each row's bits.  Every other radius
+        goes through ``exact`` after the run before it, so the first
+        failing radius raises.
+        """
+        n, m, family, rtol = self.n, self.m, self.family, self.rtol
+        run = []  # (s, K) of consecutive short-series radii
+
+        def integrate_run():
+            for start in range(0, len(run), _PROFILE_CHUNK):
+                chunk = run[start : start + _PROFILE_CHUNK]
+                rows = np.zeros((len(chunk), max(K for _, K in chunk) + 1))
+                for row, (s, K) in zip(rows, chunk):
+                    row[: K + 1] = _growth_series(n, m, family, s, K)
+                values = _zonal_abs_power_means(n, rows, 1.0, rtol)
+                self._exact.update(zip([s for s, _ in chunk], values))
+            run.clear()
+
+        for s in dict.fromkeys(np.asarray(radii, dtype=float).tolist()):
+            if s == 0.0 or s in self._exact:
+                continue
+            # the search's first windows: a short series' own K, or None
+            K = _series_degree(n, m, family, s, rtol, cap=_AHEAD_TERMS)
+            if K is not None and K < _AHEAD_TERMS:
+                run.append((s, K))
+            else:
+                integrate_run()
+                self.exact(s)
+        integrate_run()
+
     def at(self, s, j_deepest):
         """I(s), interpolated through the ladder up to depth j_deepest."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        js = np.concatenate([np.arange(0.25, 2.0, 0.25), np.arange(2.0, j_deepest + 1e-9, 0.5)])
+        s_nodes = 1.0 - 2.0 ** (-js)
+        low = s < s_nodes[0]
+        self._fill(np.concatenate([s_nodes, s[low]]))
         if j_deepest not in self._ladders:
-            js = np.concatenate(
-                [np.arange(0.25, 2.0, 0.25), np.arange(2.0, j_deepest + 1e-9, 0.5)]
-            )
-            s_nodes = 1.0 - 2.0 ** (-js)
             xi = -np.log1p(-s_nodes)
-            values = np.array([self.exact(node) for node in s_nodes])
+            values = np.array([self._exact[node] for node in s_nodes.tolist()])
             # log-log spline unless some value is not positive
             spline = CubicSpline(xi, np.log(values)) if np.all(values > 0.0) else None
-            self._ladders[j_deepest] = (s_nodes[0], xi, values, spline)
-        s_first, xi, values, spline = self._ladders[j_deepest]
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+            self._ladders[j_deepest] = (xi, values, spline)
+        xi, values, spline = self._ladders[j_deepest]
         out = np.empty_like(s)
-        low = s < s_first
-        for idx in np.nonzero(low)[0]:
-            out[idx] = self.exact(s[idx])
+        out[low] = [self.exact(r) for r in s[low].tolist()]
         if np.any(~low):
             x = -np.log1p(-s[~low])
             out[~low] = np.exp(spline(x)) if spline is not None else np.interp(x, xi, values)

@@ -1,7 +1,8 @@
-"""The growth integral I(s) of ``ones`` against references that share no
-code with the package.
+"""The growth integral I(s) against references that share no code with
+the package, computed with mpmath alone.
 
-Each reference is computed with mpmath alone, from the paper's identity
+The deep references are I(s) of ``ones`` at integer m, from the paper's
+identity
 
     sum_k gamma_k s^k Z_k(cos theta)
         = s^(1-n/2) / m! * d^(m+1)/ds^(m+1) [s^(n/2+m) P(s, theta)],
@@ -11,11 +12,23 @@ D = (1 - s)^2 + 4 s sin^2(theta/2): the derivative by ``mpmath.diff`` and
 the normalized sphere integral of its absolute value by ``mpmath.quad``
 over theta, split at the peak scale 1 - s and its doublings and at the
 kernel's zeros (``mpmath.findroot`` from the sign changes on a scan grid),
-at 20 digits.  The values are pinned, so the suite needs no mpmath;
-``test_reference_regenerates`` recomputes each where mpmath is installed,
-and ``python tests/test_growth_reference.py`` prints them all.
+at 20 digits.
+
+The short-series references are I(s) of ``ones`` and ``powerlaw:0.5`` at
+s = 0.05, 0.15 and 0.5, for m = 2 and the fractional m = 1.5, which has no
+closed form: the series sum_k gamma_k c_k s^k Z_k(cos theta) with gamma_k
+from mpmath's gamma function and Z_k = (k + lam)/lam C_k^lam (2 cos(k theta)
+on the circle) from the Gegenbauer three-term recurrence, truncated where
+the terms' bound C_k^lam(1) falls 25 digits below gamma_0, and its absolute
+value integrated by ``mpmath.quad`` at 20 digits, split at the zeros.  Where
+G keeps its sign, I(s) is the mean of G, gamma_0 c_0.
+
+The values are pinned, so the suite needs no mpmath; the ``regenerates``
+tests recompute each where mpmath is installed, and
+``python tests/test_growth_reference.py`` prints them all.
 """
 
+import itertools
 import math
 
 import pytest
@@ -40,6 +53,59 @@ REFERENCES = {
     (5, 2, 14): 8145835646477.684,
 }
 CASES = sorted(REFERENCES)
+
+# (n, m, family, s) -> I(s), by the short series
+SHORT_REFERENCES = {
+    (2, 1.5, 'ones', 0.05): 2.5,
+    (2, 1.5, 'ones', 0.15): 2.5,
+    (2, 1.5, 'ones', 0.5): 6.752078131238942,
+    (2, 1.5, 'powerlaw:0.5', 0.05): 2.5,
+    (2, 1.5, 'powerlaw:0.5', 0.15): 2.5,
+    (2, 1.5, 'powerlaw:0.5', 0.5): 3.63675985116455,
+    (2, 2.0, 'ones', 0.05): 3.0,
+    (2, 2.0, 'ones', 0.15): 3.0,
+    (2, 2.0, 'ones', 0.5): 10.984850691670998,
+    (2, 2.0, 'powerlaw:0.5', 0.05): 3.0,
+    (2, 2.0, 'powerlaw:0.5', 0.15): 3.0,
+    (2, 2.0, 'powerlaw:0.5', 0.5): 5.596089076995418,
+    (3, 1.5, 'ones', 0.05): 5.092958178940651,
+    (3, 1.5, 'ones', 0.15): 5.092958178940651,
+    (3, 1.5, 'ones', 0.5): 9.819321304539956,
+    (3, 1.5, 'powerlaw:0.5', 0.05): 5.092958178940651,
+    (3, 1.5, 'powerlaw:0.5', 0.15): 5.092958178940651,
+    (3, 1.5, 'powerlaw:0.5', 0.5): 5.40473144442974,
+    (3, 2.0, 'ones', 0.05): 6.5625,
+    (3, 2.0, 'ones', 0.15): 6.5625,
+    (3, 2.0, 'ones', 0.5): 16.73963716541586,
+    (3, 2.0, 'powerlaw:0.5', 0.05): 6.5625,
+    (3, 2.0, 'powerlaw:0.5', 0.15): 6.5625,
+    (3, 2.0, 'powerlaw:0.5', 0.5): 8.263126972744518,
+    (4, 1.5, 'ones', 0.05): 8.75,
+    (4, 1.5, 'ones', 0.15): 8.75,
+    (4, 1.5, 'ones', 0.5): 13.24012558813206,
+    (4, 1.5, 'powerlaw:0.5', 0.05): 8.75,
+    (4, 1.5, 'powerlaw:0.5', 0.15): 8.75,
+    (4, 1.5, 'powerlaw:0.5', 0.5): 8.75,
+    (4, 2.0, 'ones', 0.05): 12.0,
+    (4, 2.0, 'ones', 0.15): 12.0,
+    (4, 2.0, 'ones', 0.5): 23.086127377207077,
+    (4, 2.0, 'powerlaw:0.5', 0.05): 12.0,
+    (4, 2.0, 'powerlaw:0.5', 0.15): 12.0,
+    (4, 2.0, 'powerlaw:0.5', 0.5): 12.071544512432448,
+    (5, 1.5, 'ones', 0.05): 13.581221810508403,
+    (5, 1.5, 'ones', 0.15): 13.581221810508403,
+    (5, 1.5, 'ones', 0.5): 17.448011973617575,
+    (5, 1.5, 'powerlaw:0.5', 0.05): 13.581221810508403,
+    (5, 1.5, 'powerlaw:0.5', 0.15): 13.581221810508403,
+    (5, 1.5, 'powerlaw:0.5', 0.5): 13.581221810508403,
+    (5, 2.0, 'ones', 0.05): 19.6875,
+    (5, 2.0, 'ones', 0.15): 19.6875,
+    (5, 2.0, 'ones', 0.5): 30.75210322542177,
+    (5, 2.0, 'powerlaw:0.5', 0.05): 19.6875,
+    (5, 2.0, 'powerlaw:0.5', 0.15): 19.6875,
+    (5, 2.0, 'powerlaw:0.5', 0.5): 19.6875,
+}
+SHORT_CASES = sorted(SHORT_REFERENCES)
 
 
 def mpmath_growth_integral(n, m, j, dps=20):
@@ -71,6 +137,46 @@ def mpmath_growth_integral(n, m, j, dps=20):
         return float(cn * mp.quad(lambda th: abs(kernel(th)) * mp.sin(th) ** (n - 2), breaks))
 
 
+def mpmath_short_integral(n, m, family, s, dps=20):
+    """I(s) of ``ones`` or ``powerlaw:0.5``, as an mpmath sum of the series."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        s, m, lam, half_n = mp.mpf(s), mp.mpf(m), mp.mpf(n - 2) / 2, mp.mpf(n) / 2
+        # a_k = gamma_k c_k s^k Z_k / C_k^lam
+        a = []
+        for k in itertools.count():
+            gamma = mp.gamma(k + half_n + m + 1) / (mp.gamma(k + half_n) * mp.gamma(m + 1))
+            c = 1 if family == "ones" else (k + 1) ** -mp.mpf(0.5)
+            z = (k + lam) / lam if n > 2 else (2 if k else 1)
+            a.append(gamma * c * s**k * z)
+            peak = mp.binomial(k + 2 * lam - 1, k) if n > 2 else 1
+            if k > 10 and abs(a[-1]) * peak < mp.mpf(10) ** (-dps - 5) * a[0]:
+                break
+
+        def G(theta):
+            if n == 2:
+                return mp.fsum(ak * mp.cos(k * theta) for k, ak in enumerate(a))
+            t = mp.cos(theta)
+            c_prev, c = mp.mpf(1), 2 * lam * t
+            total = a[0] + a[1] * c
+            for k in range(2, len(a)):
+                c_prev, c = c, (2 * (k + lam - 1) * t * c - (k + 2 * lam - 2) * c_prev) / k
+                total += a[k] * c
+            return total
+
+        scan = [mp.pi * i / 64 for i in range(65)]
+        values = [G(x) for x in scan]
+        zeros = [
+            mp.findroot(G, (x0, x1), solver="anderson", verify=False)
+            for x0, x1, g0, g1 in zip(scan, scan[1:], values, values[1:])
+            if g0 * g1 < 0
+        ]
+        cn = mp.gamma(half_n) / (mp.sqrt(mp.pi) * mp.gamma(half_n - mp.mpf(1) / 2))
+        breaks = sorted(set([mp.mpf(0), mp.pi] + zeros))
+        return float(cn * mp.quad(lambda th: abs(G(th)) * mp.sin(th) ** (n - 2), breaks))
+
+
 @pytest.mark.parametrize("n,m,j", CASES)
 def test_growth_integral_meets_reference(n, m, j):
     # within its own rtol: the series missed this at n = 4, 5 and j = 10
@@ -85,6 +191,26 @@ def test_reference_regenerates(n, m, j):
     assert mpmath_growth_integral(n, m, j) == pytest.approx(REFERENCES[n, m, j], rel=1e-12)
 
 
+@pytest.mark.parametrize("n,m,family,s", SHORT_CASES)
+def test_growth_integral_meets_short_reference(n, m, family, s):
+    # m = 1.5 is the order of the seeded deep mult-check's growth curve
+    value = _growth_integral(n, m, multiplier_family(family), s, rtol=1e-7)
+    assert value == pytest.approx(SHORT_REFERENCES[n, m, family, s], rel=1e-7)
+
+
+@pytest.mark.parametrize("n,m,family,s", SHORT_CASES)
+def test_short_reference_regenerates(n, m, family, s):
+    pytest.importorskip("mpmath")
+    expected = SHORT_REFERENCES[n, m, family, s]
+    assert mpmath_short_integral(n, m, family, s) == pytest.approx(expected, rel=1e-12)
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f"    {case}: {mpmath_growth_integral(*case)!r},")
+    for n in (2, 3, 4, 5):
+        for m in (1.5, 2.0):
+            for family in ("ones", "powerlaw:0.5"):
+                for s in (0.05, 0.15, 0.5):
+                    case = (n, m, family, s)
+                    print(f"    {case}: {mpmath_short_integral(*case)!r},")

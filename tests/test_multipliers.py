@@ -20,8 +20,8 @@ from ballharm import (
 from ballharm import multipliers
 from ballharm.multipliers import _CURVE_CACHE, _direction_design, _family_from_values, _fit_window
 from ballharm.expansion import _basis_matrix
-from ballharm.quadrature import sphere_rule
-from ballharm._zonalseries import zonal_series_values
+from ballharm.quadrature import _PROFILE_CHUNK, radial_rule, sphere_rule
+from ballharm._zonalseries import _AHEAD_TERMS, zonal_series_values
 from ballharm.specfun import _log_lambda_coeff, lambda_coeff
 
 
@@ -75,31 +75,18 @@ def test_family_parsing():
 # ---------------------------------------------------------------------------
 
 
-class _DegreeSeen(Exception):
-    pass
-
-
 @pytest.mark.parametrize(
     "family,j,expected",
     [("ones", 8, 12569), ("ones", 10, 54908),
      ("powerlaw:0.5", 8, 12215), ("powerlaw:0.5", 10, 53453)],
 )
-def test_growth_integral_series_degree_pinned(monkeypatch, family, j, expected):
-    # the truncation degree I(s) asks for at its own tolerance, n = 3, m = 2;
-    # the search stops there instead of summing the series
-    from ballharm import multipliers
-
-    real = multipliers._series_degree
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(real(*args, **kwargs))
-        raise _DegreeSeen
-
-    monkeypatch.setattr(multipliers, "_series_degree", spy)
-    with pytest.raises(_DegreeSeen):
-        multipliers._growth_integral(3, 2.0, multiplier_family(family), 1.0 - 2.0 ** (-j))
-    assert seen == [expected]
+def test_growth_integral_series_degree_pinned(family, j, expected):
+    # the truncation degree of the full search at I(s)'s own tolerance,
+    # n = 3, m = 2; the route pick's search stops at _AHEAD_TERMS terms
+    s = 1.0 - 2.0 ** (-j)
+    fam = multiplier_family(family)
+    assert multipliers._series_degree(3, 2.0, fam, s) == expected
+    assert multipliers._series_degree(3, 2.0, fam, s, cap=_AHEAD_TERMS) is None
 
 
 # theta = 0 and pi, an even grid, and a graded run into the peak at theta = 0
@@ -124,14 +111,19 @@ def test_closed_kernel_matches_truncated_series(n, family):
 
 
 def _route(monkeypatch, n, m, family, s):
-    """Which route ``_growth_integral`` takes: "closed" or "series"."""
+    """The route ``_growth_integral`` takes: ("closed",), ("series", K), or
+    ("refused", message)."""
     taken = []
     monkeypatch.setattr(multipliers, "_abs_power_mean",
-                        lambda *args: taken.append("closed") or [1.0])
+                        lambda *args: taken.append(("closed",)) or [1.0])
     monkeypatch.setattr(multipliers, "zonal_abs_power_mean",
-                        lambda *args, **kwargs: taken.append("series") or 1.0)
-    multipliers._growth_integral(n, m, family, s)
-    return taken
+                        lambda n, series, *args, **kwargs: taken.append(("series", series.size - 1)) or 1.0)
+    try:
+        multipliers._growth_integral(n, m, family, s)
+    except AccuracyError as err:
+        taken.append(("refused", str(err)))
+    assert len(taken) == 1
+    return taken[0]
 
 
 @pytest.mark.parametrize(
@@ -156,7 +148,54 @@ def _route(monkeypatch, n, m, family, s):
 )
 def test_growth_integral_route(monkeypatch, family, m, j, route):
     fam = multiplier_family(family) if isinstance(family, str) else family
-    assert _route(monkeypatch, 3, m, fam, 1.0 - 2.0**-j) == [route]
+    assert _route(monkeypatch, 3, m, fam, 1.0 - 2.0**-j)[0] == route
+
+
+# 1 - s = 2^-j at the growth curve's ladder depths j = 0.25..14
+_LADDER_J = [0.25 * i for i in range(1, 8)] + [0.5 * i for i in range(4, 29)]
+
+
+def _todays_route(n, m, family, s, closed):
+    """The route rule of the full degree search: the closed kernel, where
+    the family has one, for K + 1 > _AHEAD_TERMS terms or a search past the
+    degree cap; else the series at the full search's K."""
+    try:
+        K = multipliers._series_degree(n, m, family, s)
+    except AccuracyError as err:
+        return ("closed",) if closed else ("refused", str(err))
+    return ("closed",) if closed and K + 1 > _AHEAD_TERMS else ("series", K)
+
+
+@pytest.mark.parametrize("family", ["ones", "powerlaw:0.5", "finite:300", "sequence"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_growth_route_is_the_full_search_rule(monkeypatch, n, family):
+    # the pick from a search stopped at _AHEAD_TERMS terms, at every ladder
+    # depth j = 0.25..14 and the orders of the closed and the series route
+    if family == "sequence":
+        fam = _family_from_values(np.cos(np.arange(300.0)))
+    else:
+        fam = multiplier_family(family)
+    for m in (0.0, 1.0, 2.0, 3.0, 1.5):
+        closed = family in ("ones", "powerlaw:0.5") and m != 1.5
+        for j in _LADDER_J:
+            s = 1.0 - 2.0**-j
+            expected = _todays_route(n, m, fam, s, closed)
+            assert _route(monkeypatch, n, m, fam, s) == expected, (m, j)
+
+
+def test_closed_route_builds_no_long_search_window():
+    # I(s) of ``ones`` at j = 14 by the closed kernel; the degree search
+    # tries windows of 64, 128 and 256 terms, not the 524,288 of the cap
+    windows = []
+
+    def ones(k):
+        windows.append(k.size - 1)
+        return np.ones_like(k)
+
+    family = multipliers.ZonalFamily("ones", ("ones",), None, ones)
+    value = multipliers._growth_integral(3, 2.0, family, 1.0 - 2.0**-14)
+    assert value == pytest.approx(6090064325234.604, rel=1e-7)  # test_growth_reference
+    assert max(windows) <= _AHEAD_TERMS
 
 
 def test_series_route_past_the_degree_cap_refuses():
@@ -443,6 +482,70 @@ def test_condition2_after_probe_equals_cold_condition2():
     cold = reports.dumps(condition2_sup("powerlaw:0.5", params, j_levels=range(3, 9)).to_payload())
     _CURVE_CACHE.clear()
     assert warm == cold
+
+
+def _loop_curve(n, m, family):
+    """A fresh growth curve that computes what ``at`` lacks radius by
+    radius through ``exact``, in the order ``at`` asks for them."""
+    curve = multipliers._GrowthCurve(n, m, family, 1e-7)
+    curve._fill = lambda radii: [curve.exact(s) for s in np.asarray(radii).tolist()]
+    return curve
+
+
+def _fill_radii(j_deepest):
+    """0, a duplicate, a probe's radial rule times s = 0.3 (about half of
+    it below the ladder), the ladder nodes themselves, and 0 again."""
+    ladder = [1.0 - 2.0**-j for j in _LADDER_J if j <= j_deepest]
+    return np.concatenate([[0.0, 0.1, 0.1], radial_rule(0.5, 96).nodes * 0.3, ladder, [0.0]])
+
+
+def _hexes(values):
+    return {s: float(v).hex() for s, v in values.items()}
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["ones", "powerlaw:0.5", "finite:40", _family_from_values(0.9 ** np.arange(60.0) * np.cos(np.arange(60.0)))],
+)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_growth_curve_fill_keeps_the_per_radius_bits(n, family):
+    fam = multiplier_family(family) if isinstance(family, str) else family
+    radii = _fill_radii(6)
+    for m in (0.0, 2.0, 1.5):
+        batched, loop = multipliers._GrowthCurve(n, m, fam, 1e-7), _loop_curve(n, m, fam)
+        assert batched.at(radii, 6).tobytes() == loop.at(radii, 6).tobytes(), m
+        assert _hexes(batched._exact) == _hexes(loop._exact), m
+
+
+def test_growth_curve_fill_raises_as_the_per_radius_loop():
+    # c_40 = 1e308 overflows the series from the ladder node at j = 1.75
+    # on; the loop raises there, after the nodes before it
+    values = np.zeros(41)
+    values[0], values[40] = 1.0, 1e308
+    fam = _family_from_values(values)
+    radii = _fill_radii(4)
+    outcomes = []
+    for curve in (multipliers._GrowthCurve(3, 2.0, fam, 1e-7), _loop_curve(3, 2.0, fam)):
+        with np.errstate(all="ignore"), pytest.raises(AccuracyError, match="non-finite") as err:
+            curve.at(radii, 4)
+        outcomes.append((str(err.value), repr(err.value.coarse), repr(err.value.fine), err.value.rtol))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_growth_curve_fill_takes_at_most_a_chunk_per_loop(monkeypatch):
+    rows = []
+    real = multipliers._zonal_abs_power_means
+
+    def counted(dim, batch, power, rtol):
+        rows.append(batch.shape[0])
+        return real(dim, batch, power, rtol)
+
+    monkeypatch.setattr(multipliers, "_zonal_abs_power_means", counted)
+    curve = multipliers._GrowthCurve(3, 2.0, multiplier_family("ones"), 1e-7)
+    curve.at(_fill_radii(8), 8)
+    # the short ladder nodes, then the radii below the ladder in chunks
+    assert max(rows) == _PROFILE_CHUNK
+    assert len(rows) >= 3
 
 
 def test_sequence_family_padding_is_zero():
