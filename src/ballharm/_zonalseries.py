@@ -17,24 +17,22 @@ integrand of theta; ``zonal_abs_power_mean`` feeds it the series.
 
 A series costs mostly per call: the recurrence pays interpreter overhead
 for each of its K terms, so a call on 2,300 points costs only about twice
-one on 250.  The core has two remedies, both with the same bits.  A deep
-integral of a long series bisects for 8-10 rounds with only 2-6 new
-panels each, at the kinks of |G| where G changes sign.  For a series of
-more than ``_AHEAD_TERMS`` terms the core therefore looks ahead: the call
-that evaluates the halves of a failing panel also evaluates the panels
-later rounds will bisect toward its estimated zero, so such an integral
-calls the recurrence about twice instead of about nine times.  The long
-series that still come here are ``finite:K`` multipliers, user sequences
-and growth series at fractional order; the deep growth integrals of the
-named families take a closed-form kernel instead (``multipliers``).  A
-short series pays the same overhead at each of the many radii of a
-spherical mean profile (a mixed norm's radial rule, a probe's) or of a
-growth curve (the qm-kernel probe's radii below its ladder); so
-``_zonal_abs_power_means`` integrates a batch of coefficient rows, one
-per radius, in one loop whose rounds call the recurrence once for the
-panels of every row, with each row's weights gathered per panel.  Rows
-of different lengths are zero-padded to one width: a zero term adds +-0
-to a row's sum, so each row keeps its bits.
+one on 250.  ``_zonal_abs_power_means``, the one place that decides which
+series share a call, takes the coefficient rows of any batch (the radii
+of a mean profile, the series-route radii of a growth curve) and keeps
+the bits and the errors of the row-by-row loop:
+
+* consecutive rows of at most ``_AHEAD_TERMS`` terms go ``_PROFILE_CHUNK``
+  per adaptive loop, zero-padded to the widest (a zero term adds +-0 to a
+  row's sum); each round calls the recurrence once for the panels of
+  every row, gathering each row's weights per panel;
+* a longer row goes alone through ``zonal_abs_power_mean``, which looks
+  ahead: the call that evaluates the halves of a failing panel also
+  evaluates the panels later rounds will bisect toward its estimated
+  zero, so a deep integral calls the recurrence about twice instead of
+  once per round (8-10).  Such rows are ``finite:K`` multipliers, user
+  sequences and growth series at fractional order; the named families'
+  deep growth integrals take a closed-form kernel (``multipliers``).
 """
 
 import itertools
@@ -51,6 +49,7 @@ _MAX_ROUNDS = 48  # bisection rounds of ``_abs_power_mean`` before it gives up
 _MAX_PANELS = 2**15  # live panels of one round before ``_abs_power_mean`` gives up
 _AHEAD_PANELS = 48  # panels a lookahead G call fills up to
 _AHEAD_TERMS = 256  # series with more terms than this look ahead
+_PROFILE_CHUNK = 32  # shorter rows integrated in one adaptive loop
 
 
 def _series_sum(w, lam, t, cols=None):
@@ -308,14 +307,16 @@ def _abs_power_mean(dim, G, deltas, power, rtol, ahead=0):
     return results
 
 
-def _zonal_abs_power_means(dim, rows, power, rtol):
-    """``zonal_abs_power_mean`` of each row of zonal coefficients, in one
-    adaptive loop: a list of floats with the bits of the row-by-row loop,
-    or the error of the first row that fails.  One nonzero row of more
-    than ``_AHEAD_TERMS`` terms looks ahead."""
+def _means_in_one_loop(dim, rows, power, rtol, ahead):
+    """``zonal_abs_power_mean`` of each 1-D row in one adaptive loop, the
+    rows zero-padded to the widest; a batch of one looks ahead with
+    ``ahead`` > 0."""
     if power <= 0:
         raise DomainError(f"power must be positive, got {power}")
-    w = rows * _sph_dim_array(dim, rows.shape[1] - 1)
+    w = np.zeros((len(rows), max(row.size for row in rows)))
+    for padded, row in zip(w, rows):
+        padded[: row.size] = row
+    w *= _sph_dim_array(dim, w.shape[1] - 1)
     absw = np.abs(w)
     wmax = absw.max(axis=1)
     # effective bandwidth sets the peak scale near theta = 0
@@ -337,16 +338,30 @@ def _zonal_abs_power_means(dim, rows, power, rtol):
         G = lambda theta, owner: np.ascontiguousarray(
             _series_sum(wt, lam, np.ascontiguousarray(np.cos(theta).T), owner).T
         )
-    # a long series costs mostly per call: look ahead to save calls
-    ahead = _AHEAD_PANELS if live.size == 1 and w.shape[1] > _AHEAD_TERMS else 0
     values = _abs_power_mean(dim, G, deltas[live].tolist(), power, rtol, ahead)
     for i, value in zip(live.tolist(), values):
         out[i] = value
     return out
 
 
+def _zonal_abs_power_means(dim, rows, power, rtol):
+    """``zonal_abs_power_mean`` of each 1-D array of zonal coefficients from
+    ``rows``, batched as the module docstring sets out."""
+    out = []
+    for long, run in itertools.groupby(rows, key=lambda row: row.size > _AHEAD_TERMS):
+        if long:
+            # by module global, so a wrapped ``zonal_abs_power_mean`` sees it
+            out += [zonal_abs_power_mean(dim, row, power, rtol) for row in run]
+        else:
+            while chunk := list(itertools.islice(run, _PROFILE_CHUNK)):
+                out += _means_in_one_loop(dim, chunk, power, rtol, 0)
+    return out
+
+
 def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8):
     """Normalized surface integral of |G|^power for a zonal series G, with
-    the mesh graded toward the pole at the scale of the coefficient decay."""
+    the mesh graded toward the pole at the scale of the coefficient decay;
+    a series of more than ``_AHEAD_TERMS`` terms looks ahead."""
     zcoeffs = np.ascontiguousarray(zcoeffs, dtype=float)
-    return _zonal_abs_power_means(dim, zcoeffs[None, :], power, rtol)[0]
+    ahead = _AHEAD_PANELS if zcoeffs.size > _AHEAD_TERMS else 0
+    return _means_in_one_loop(dim, [zcoeffs], power, rtol, ahead)[0]

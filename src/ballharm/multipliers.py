@@ -29,19 +29,17 @@ Both read one growth function per (n, m, family, rtol), kept for the life
 of the process (``_growth_curve``): each I(s) is computed once, at s itself.
 ``condition2_sup`` reads those values at its grid radii; the qm-kernel
 probe reads a log-log spline through them, built once per ladder depth,
-and reads its radii below the ladder at s itself, whose short series the
-curve integrates in batches.
+and reads its radii below the ladder at s itself.
 
-I(s) has two routes, picked by ``_growth_integral`` from the input alone.
-The named families ``ones`` and ``powerlaw:t`` at integer m >= 0 have a
-closed-form kernel: Taylor ("jet") arithmetic on the m+1-th derivative of
-the Poisson kernel for ``ones``, and for ``powerlaw:t`` a mixture of those
-kernels at s e^-u under a graded u-rule.  It costs the same at any depth,
-so it takes every I(s) whose series would need more than ``_AHEAD_TERMS``
-terms, which includes those past the series' degree cap (grid levels
-j = 11..14).  Short series, fractional m, ``finite:K`` and user sequences
-sum the truncated zonal series.  Both routes integrate |G| with the
-adaptive core of ``_zonalseries``.
+The curve computes the I(s) it lacks in one ``_growth_integrals`` call,
+which picks one of two routes per radius from the input alone.  The named
+families ``ones`` and ``powerlaw:t`` at integer m >= 0 have a closed-form
+kernel: Taylor ("jet") arithmetic on the m+1-th derivative of the Poisson
+kernel for ``ones``, and for ``powerlaw:t`` a mixture of those kernels at
+s e^-u under a graded u-rule.  It costs the same at any depth, so it takes
+every I(s) whose series would need more than ``_AHEAD_TERMS`` terms, grid
+levels j = 11..14 past the series' degree cap among them.  All else sums
+the truncated zonal series, batched as ``_zonalseries`` sets out.
 
 Boundedness decisions use fixed documented thresholds: the criterion slope
 threshold 0.02 with a 1% non-increase test on the last three Phi values,
@@ -50,6 +48,7 @@ max(4, half) grid points, where the asymptotic regime is settled.  All
 probes and grids are deterministic given the seed.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -65,20 +64,9 @@ from .expansion import (
     _per_entry,
     _truncation_degree,
 )
-from .quadrature import (
-    _PROFILE_CHUNK,
-    _settle_by_doubling,
-    _zonal_power_profile,
-    radial_rule,
-    sphere_rule,
-)
+from .quadrature import _settle_by_doubling, _zonal_power_profile, radial_rule, sphere_rule
 from .specfun import _gauss_jacobi, _log_lambda_coeff, _sph_dim_array
-from ._zonalseries import (
-    _AHEAD_TERMS,
-    _abs_power_mean,
-    _zonal_abs_power_means,
-    zonal_abs_power_mean,
-)
+from ._zonalseries import _AHEAD_TERMS, _abs_power_mean, _zonal_abs_power_means
 
 __all__ = [
     "TheoremParams",
@@ -234,8 +222,9 @@ def _coerce_zonal_family(g):
 # ---------------------------------------------------------------------------
 
 
-def _series_degree(n, m, family, s, rtol=1e-7, cap=_SERIES_DEGREE_CAP):
-    """Truncation degree of the growth series of I(s) at tolerance rtol.
+def _series_degrees(n, m, family, rtol=1e-7, cap=_SERIES_DEGREE_CAP):
+    """Truncation degree of the growth series of I(s) at tolerance rtol, as
+    a function of s.
 
     The peak term exceeds the integral by roughly (1-s)^-(n-1), so the
     tail must stay below that fraction of rtol/10 of the peak term.  Tail
@@ -247,32 +236,45 @@ def _series_degree(n, m, family, s, rtol=1e-7, cap=_SERIES_DEGREE_CAP):
     search at its window of ``cap`` terms and returns None when K >= cap;
     a K it returns is the full search's, which tries the same windows
     first.  Past the degree cap itself the search raises AccuracyError.
+    Its searches share each window's radius-independent log terms and add
+    k log s as a lone search does, so each K is the lone search's.
     """
-    if family.finite_degree is not None:
-        return int(family.finite_degree)
-    if s <= 0.0:
-        return 0
-    rel_tol = max(min(rtol, 1e-7) * 1e-1 * (1.0 - s) ** (n - 1), 1e-14)
+    windows = {}  # kmax -> (k, the log terms but k log s)
 
-    def log_terms(kmax):
-        k = np.arange(kmax + 1, dtype=float)
-        return (
-            _log_lambda_coeff(n, k, m)
-            + np.log(np.maximum(np.abs(family.values(kmax)), 1e-300))
-            + np.log(_sph_dim_array(n, kmax))
-            + k * math.log(s)
-        )
+    def log_terms(kmax, log_s):
+        if kmax not in windows:
+            k = np.arange(kmax + 1, dtype=float)
+            logs = _log_lambda_coeff(n, k, m)
+            logs = logs + np.log(np.maximum(np.abs(family.values(kmax)), 1e-300))
+            windows[kmax] = k, logs + np.log(_sph_dim_array(n, kmax))
+        k, base = windows[kmax]
+        return base + k * log_s
 
-    K = _truncation_degree(log_terms, n, s, m + 1.0, math.log(rel_tol), relative=True, cap=cap)
-    if K is None and cap >= _SERIES_DEGREE_CAP:
-        raise AccuracyError(
-            f"series truncation cannot reach rel_tol={rel_tol:g} at s={s:g} "
-            f"within the degree cap {_SERIES_DEGREE_CAP}",
-            float("nan"),
-            float("nan"),
-            rel_tol,
-        )
-    return K
+    def degree(s):
+        if family.finite_degree is not None:
+            return int(family.finite_degree)
+        if s <= 0.0:
+            return 0
+        rel_tol = max(min(rtol, 1e-7) * 1e-1 * (1.0 - s) ** (n - 1), 1e-14)
+        log_s = math.log(s)
+        terms = lambda kmax: log_terms(kmax, log_s)
+        K = _truncation_degree(terms, n, s, m + 1.0, math.log(rel_tol), relative=True, cap=cap)
+        if K is None and cap >= _SERIES_DEGREE_CAP:
+            raise AccuracyError(
+                f"series truncation cannot reach rel_tol={rel_tol:g} at s={s:g} "
+                f"within the degree cap {_SERIES_DEGREE_CAP}",
+                float("nan"),
+                float("nan"),
+                rel_tol,
+            )
+        return K
+
+    return degree
+
+
+def _series_degree(n, m, family, s, rtol=1e-7, cap=_SERIES_DEGREE_CAP):
+    """``_series_degrees`` at the one radius s."""
+    return _series_degrees(n, m, family, rtol, cap)(s)
 
 
 def _ones_kernel(n, m, s, d, sin2):
@@ -375,16 +377,9 @@ def _powerlaw_kernel(n, m, t, s, rule, theta):
     return out.reshape(theta.shape)
 
 
-def _has_closed_kernel(m, family):
-    """Whether I(s) has a closed-form kernel: the named families ``ones``
-    and ``powerlaw:t`` at integer m >= 0."""
-    return float(m).is_integer() and m >= 0 and family.key[0] in ("ones", "powerlaw")
-
-
 def _closed_kernel(n, m, family, s):
     """G(theta) = sum_k gamma_k c_k s^k Z_k(cos theta) in closed form, as a
-    function of theta, for a family and order ``_has_closed_kernel``
-    admits."""
+    function of theta, for ``ones`` or ``powerlaw:t`` at integer m >= 0."""
     t = family.key[1] if family.key[0] == "powerlaw" else 0.0
     if t == 0.0:
         d = 1.0 - s
@@ -399,41 +394,66 @@ def _growth_series(n, m, family, s, K):
     return np.exp(_log_lambda_coeff(n, k, m) + k * math.log(s)) * family.values(K)
 
 
-def _growth_integral(n, m, family, s, rtol=1e-7):
-    """I(s): normalized sphere integral of |sum_k gamma_k c_k s^k Z_k|.
+def _closed_integrals(n, m, family, radii, rtol):
+    """I(s) at each of ``radii`` by the closed-form kernel, in one adaptive
+    loop whose G(theta, owner) evaluates each owner's kernel."""
+    kernels = [_closed_kernel(n, m, family, s) for s in radii]
 
-    The one entry point for I(s), with two routes picked from the input.
-    The named families ``ones`` and ``powerlaw:t`` at integer m >= 0 take
-    the closed-form kernel (``_closed_kernel``) wherever the series would
-    need more than ``_AHEAD_TERMS`` terms; that kernel costs the same at
-    any depth.  Their degree search stops at windows of ``_AHEAD_TERMS``
-    terms, so it never builds the long windows a deep s would need.  All
-    else sums the series truncated at the degree ``_series_degree`` finds,
-    with the full search: short series, fractional m, ``finite:K`` and
-    user sequences.  Both routes integrate |G| with the adaptive core of
-    ``_zonalseries``, the closed one at ``_CLOSED_RTOL`` times rtol.
+    def G(theta, owner):
+        values = np.empty_like(theta)
+        for i in np.unique(owner).tolist():
+            values[owner == i] = kernels[i](theta[owner == i])
+        return values
+
+    # the peak of G has angular width about 1 - s
+    deltas = [_CLOSED_MESH * (1.0 - s) for s in radii]
+    return _abs_power_mean(n, G, deltas, 1.0, _CLOSED_RTOL * rtol)
+
+
+def _growth_integrals(n, m, family, radii, rtol=1e-7):
+    """I(s), the normalized sphere integral of |sum_k gamma_k c_k s^k Z_k|,
+    at each of ``radii``, with the bits of each radius alone; the first
+    failing radius raises.  One degree search per radius picks its route:
+    ``ones`` and ``powerlaw:t`` at integer m >= 0 take the closed-form
+    kernel wherever the series would need more than ``_AHEAD_TERMS``
+    terms, where their search stops; all else sums the series truncated
+    at the full search's degree.  Consecutive series-route radii go to
+    ``_zonal_abs_power_means`` as rows; consecutive closed-route radii
+    share one adaptive loop, at ``_CLOSED_RTOL`` times rtol.
     """
     c0 = float(family.values(0)[0])
     gamma0 = math.exp(_log_lambda_coeff(n, np.array(0.0), m))
-    if s == 0.0:
-        return abs(c0) * gamma0
-    closed = _has_closed_kernel(m, family)
-    K = _series_degree(n, m, family, s, rtol, _AHEAD_TERMS if closed else _SERIES_DEGREE_CAP)
-    if K is None:
-        kernel = _closed_kernel(n, m, family, s)
-        # the peak of G has angular width about 1 - s
-        G = lambda theta, owner: kernel(theta)
-        return _abs_power_mean(n, G, [_CLOSED_MESH * (1.0 - s)], 1.0, _CLOSED_RTOL * rtol)[0]
-    return zonal_abs_power_mean(n, _growth_series(n, m, family, s, K), 1.0, rtol=rtol)
+    closed = float(m).is_integer() and m >= 0 and family.key[0] in ("ones", "powerlaw")
+    degree = _series_degrees(n, m, family, rtol, _AHEAD_TERMS if closed else _SERIES_DEGREE_CAP)
+    # (route, s, K) per radius, up to a radius whose degree search refuses
+    routes, refusal = [], None
+    for s in radii:
+        try:
+            K = 0 if s == 0.0 else degree(s)
+        except AccuracyError as err:
+            refusal = err
+            break
+        routes.append(("zero" if s == 0.0 else "closed" if K is None else "series", s, K))
+    out = []
+    for route, run in itertools.groupby(routes, key=lambda r: r[0]):
+        run = [(s, K) for _, s, K in run]
+        if route == "zero":
+            out += [abs(c0) * gamma0] * len(run)
+        elif route == "closed":
+            out += _closed_integrals(n, m, family, [s for s, _ in run], rtol)
+        else:
+            rows = (_growth_series(n, m, family, s, K) for s, K in run)
+            out += _zonal_abs_power_means(n, rows, 1.0, rtol)
+    if refusal is not None:
+        raise refusal
+    return out
 
 
 class _GrowthCurve:
-    """I(s) for one (n, m, family, rtol).  ``exact`` computes each I(s) once,
-    at s itself.  ``at`` reads a smooth log-log interpolant through the
-    ladder 1 - s = 2^-j (j = 0.25..1.75 by quarters, then 2..J by halves),
-    built once per depth J from ``exact`` values, and reads radii below the
-    ladder at s itself.  Before it reads, ``_fill`` computes the values it
-    lacks, the short series in batches."""
+    """I(s) for one (n, m, family, rtol), each computed once, at s itself.
+    ``at`` reads a smooth log-log interpolant through the ladder
+    1 - s = 2^-j (j = 0.25..1.75 by quarters, then 2..J by halves), built
+    once per depth J, and reads radii below the ladder at s itself."""
 
     def __init__(self, n, m, family, rtol):
         self.n, self.m, self.family, self.rtol = n, m, family, rtol
@@ -442,46 +462,17 @@ class _GrowthCurve:
 
     def exact(self, s):
         """I(s) computed at s itself, not interpolated."""
-        s = float(s)
-        if s not in self._exact:
-            self._exact[s] = _growth_integral(self.n, self.m, self.family, s, self.rtol)
-        return self._exact[s]
+        return self._fill([s])[0]
 
     def _fill(self, radii):
-        """Compute the I(s) that ``exact`` lacks at ``radii``, s = 0 aside,
-        with the bits and errors of ``exact`` called radius by radius.
-
-        A run of radii whose series has at most ``_AHEAD_TERMS`` terms is
-        integrated ``_PROFILE_CHUNK`` rows per adaptive loop, each row
-        zero-padded to the run's widest: a zero term adds +-0 to the sum,
-        and the batched core keeps each row's bits.  Every other radius
-        goes through ``exact`` after the run before it, so the first
-        failing radius raises.
-        """
-        n, m, family, rtol = self.n, self.m, self.family, self.rtol
-        run = []  # (s, K) of consecutive short-series radii
-
-        def integrate_run():
-            for start in range(0, len(run), _PROFILE_CHUNK):
-                chunk = run[start : start + _PROFILE_CHUNK]
-                rows = np.zeros((len(chunk), max(K for _, K in chunk) + 1))
-                for row, (s, K) in zip(rows, chunk):
-                    row[: K + 1] = _growth_series(n, m, family, s, K)
-                values = _zonal_abs_power_means(n, rows, 1.0, rtol)
-                self._exact.update(zip([s for s, _ in chunk], values))
-            run.clear()
-
-        for s in dict.fromkeys(np.asarray(radii, dtype=float).tolist()):
-            if s == 0.0 or s in self._exact:
-                continue
-            # the search's first windows: a short series' own K, or None
-            K = _series_degree(n, m, family, s, rtol, cap=_AHEAD_TERMS)
-            if K is not None and K < _AHEAD_TERMS:
-                run.append((s, K))
-            else:
-                integrate_run()
-                self.exact(s)
-        integrate_run()
+        """I(s) at each of ``radii``, computing the ones not yet cached in
+        one ``_growth_integrals`` call."""
+        radii = np.asarray(radii, dtype=float).tolist()
+        missing = [s for s in dict.fromkeys(radii) if s not in self._exact]
+        if missing:
+            values = _growth_integrals(self.n, self.m, self.family, missing, self.rtol)
+            self._exact.update(zip(missing, values))
+        return [self._exact[s] for s in radii]
 
     def at(self, s, j_deepest):
         """I(s), interpolated through the ladder up to depth j_deepest."""
@@ -489,19 +480,19 @@ class _GrowthCurve:
         js = np.concatenate([np.arange(0.25, 2.0, 0.25), np.arange(2.0, j_deepest + 1e-9, 0.5)])
         s_nodes = 1.0 - 2.0 ** (-js)
         low = s < s_nodes[0]
-        self._fill(np.concatenate([s_nodes, s[low]]))
+        values = self._fill(np.concatenate([s_nodes, s[low]]))
         if j_deepest not in self._ladders:
             xi = -np.log1p(-s_nodes)
-            values = np.array([self._exact[node] for node in s_nodes.tolist()])
+            ladder = np.array(values[: s_nodes.size])
             # log-log spline unless some value is not positive
-            spline = CubicSpline(xi, np.log(values)) if np.all(values > 0.0) else None
-            self._ladders[j_deepest] = (xi, values, spline)
-        xi, values, spline = self._ladders[j_deepest]
+            spline = CubicSpline(xi, np.log(ladder)) if np.all(ladder > 0.0) else None
+            self._ladders[j_deepest] = (xi, ladder, spline)
+        xi, ladder, spline = self._ladders[j_deepest]
         out = np.empty_like(s)
-        out[low] = [self.exact(r) for r in s[low].tolist()]
+        out[low] = values[s_nodes.size :]
         if np.any(~low):
             x = -np.log1p(-s[~low])
-            out[~low] = np.exp(spline(x)) if spline is not None else np.interp(x, xi, values)
+            out[~low] = np.exp(spline(x)) if spline is not None else np.interp(x, xi, ladder)
         return out
 
 
@@ -639,6 +630,8 @@ def condition2_sup(g, params, j_levels=None, rtol=1e-7, direction_count=None):
     j_levels = [float(j) for j in j_levels]
     if len(j_levels) < 2:
         raise DomainError(f"the growth fit needs at least two grid levels, got {j_levels}")
+    if not all(math.isfinite(j) and j > 0.0 for j in j_levels):
+        raise DomainError(f"grid levels must be finite and positive, got {j_levels}")
     if any(b <= a for a, b in zip(j_levels, j_levels[1:])):
         raise DomainError("grid levels must increase strictly")
     if j_levels[-1] > 14:
@@ -648,8 +641,7 @@ def condition2_sup(g, params, j_levels=None, rtol=1e-7, direction_count=None):
     fam = _coerce_zonal_family(g)
     if fam is not None:
         name = fam.name
-        curve = _growth_curve(params.dim, params.m, fam, rtol)
-        raw = [curve.exact(r) for r in rhos]
+        raw = _growth_curve(params.dim, params.m, fam, rtol)._fill(rhos)
     else:
         name = "full-multiplier"
         count = direction_count or (128 if params.dim == 2 else 64)

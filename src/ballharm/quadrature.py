@@ -36,7 +36,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .expansion import _radial_values, evaluate
 from .specfun import _gauss_jacobi
-from ._zonalseries import _AHEAD_TERMS, _zonal_abs_power_means
+from ._zonalseries import _zonal_abs_power_means
 
 __all__ = [
     "QuadratureRule",
@@ -50,8 +50,6 @@ __all__ = [
 
 # relative tolerance of the two-level check on every mixed norm
 NORM_RTOL = 1e-8
-# radii of a short-series profile integrated in one adaptive loop
-_PROFILE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -214,16 +212,10 @@ class SpaceParams:
 
 def _zonal_power_profile(dim, coeffs, q, radii, rtol=1e-10):
     """int |f(r x')|^q dx' at each radius r, for the zonal series f with the
-    given coefficients, by the adaptive one-dimensional reduction.  A short
-    series costs mostly per call, so ``_PROFILE_CHUNK`` radii share each
-    adaptive loop; a long one takes its radii one at a time and looks ahead."""
+    given coefficients, by the adaptive one-dimensional reduction; the
+    radii are batched as ``_zonalseries`` sets out."""
     k = np.arange(len(coeffs), dtype=float)
-    step = _PROFILE_CHUNK if len(coeffs) <= _AHEAD_TERMS else 1
-    out = []
-    for start in range(0, len(radii), step):
-        rows = np.array([coeffs * r**k for r in radii[start : start + step]])
-        out += _zonal_abs_power_means(dim, rows, q, rtol)
-    return np.array(out)
+    return np.array(_zonal_abs_power_means(dim, (coeffs * r**k for r in radii), q, rtol))
 
 
 def _power_profile(f, q, radii, rule):

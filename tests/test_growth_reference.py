@@ -33,7 +33,7 @@ import math
 
 import pytest
 
-from ballharm.multipliers import _growth_integral, multiplier_family
+from ballharm.multipliers import _growth_integrals, multiplier_family
 
 # (n, m, j) -> I(1 - 2^-j) of ``ones``
 REFERENCES = {
@@ -181,7 +181,7 @@ def mpmath_short_integral(n, m, family, s, dps=20):
 def test_growth_integral_meets_reference(n, m, j):
     # within its own rtol: the series missed this at n = 4, 5 and j = 10
     # (2.8e-7 and 1.0e-5 off), and could not reach j = 14 at all
-    value = _growth_integral(n, float(m), multiplier_family("ones"), 1.0 - 2.0**-j, rtol=1e-7)
+    [value] = _growth_integrals(n, float(m), multiplier_family("ones"), [1.0 - 2.0**-j], rtol=1e-7)
     assert value == pytest.approx(REFERENCES[n, m, j], rel=1e-7)
 
 
@@ -194,7 +194,7 @@ def test_reference_regenerates(n, m, j):
 @pytest.mark.parametrize("n,m,family,s", SHORT_CASES)
 def test_growth_integral_meets_short_reference(n, m, family, s):
     # m = 1.5 is the order of the seeded deep mult-check's growth curve
-    value = _growth_integral(n, m, multiplier_family(family), s, rtol=1e-7)
+    [value] = _growth_integrals(n, m, multiplier_family(family), [s], rtol=1e-7)
     assert value == pytest.approx(SHORT_REFERENCES[n, m, family, s], rel=1e-7)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from ballharm import (
     AccuracyError,
@@ -20,8 +21,9 @@ from ballharm import (
 from ballharm import multipliers
 from ballharm.multipliers import _CURVE_CACHE, _direction_design, _family_from_values, _fit_window
 from ballharm.expansion import _basis_matrix
-from ballharm.quadrature import _PROFILE_CHUNK, radial_rule, sphere_rule
-from ballharm._zonalseries import _AHEAD_TERMS, zonal_series_values
+from ballharm import _zonalseries
+from ballharm.quadrature import radial_rule, sphere_rule
+from ballharm._zonalseries import _AHEAD_TERMS, _PROFILE_CHUNK, zonal_series_values
 from ballharm.specfun import _log_lambda_coeff, lambda_coeff
 
 
@@ -111,15 +113,16 @@ def test_closed_kernel_matches_truncated_series(n, family):
 
 
 def _route(monkeypatch, n, m, family, s):
-    """The route ``_growth_integral`` takes: ("closed",), ("series", K), or
-    ("refused", message)."""
+    """The route ``_growth_integrals`` takes for a batch of one:
+    ("closed",), ("series", K), or ("refused", message)."""
     taken = []
     monkeypatch.setattr(multipliers, "_abs_power_mean",
                         lambda *args: taken.append(("closed",)) or [1.0])
-    monkeypatch.setattr(multipliers, "zonal_abs_power_mean",
-                        lambda n, series, *args, **kwargs: taken.append(("series", series.size - 1)) or 1.0)
+    monkeypatch.setattr(multipliers, "_zonal_abs_power_means",
+                        lambda n, rows, *args: [taken.append(("series", row.size - 1)) or 1.0
+                                                for row in rows])
     try:
-        multipliers._growth_integral(n, m, family, s)
+        multipliers._growth_integrals(n, m, family, [s])
     except AccuracyError as err:
         taken.append(("refused", str(err)))
     assert len(taken) == 1
@@ -193,7 +196,7 @@ def test_closed_route_builds_no_long_search_window():
         return np.ones_like(k)
 
     family = multipliers.ZonalFamily("ones", ("ones",), None, ones)
-    value = multipliers._growth_integral(3, 2.0, family, 1.0 - 2.0**-14)
+    [value] = multipliers._growth_integrals(3, 2.0, family, [1.0 - 2.0**-14])
     assert value == pytest.approx(6090064325234.604, rel=1e-7)  # test_growth_reference
     assert max(windows) <= _AHEAD_TERMS
 
@@ -201,7 +204,117 @@ def test_closed_route_builds_no_long_search_window():
 def test_series_route_past_the_degree_cap_refuses():
     # a fractional m has no closed form, so j = 14 still refuses
     with pytest.raises(AccuracyError, match="degree cap"):
-        multipliers._growth_integral(3, 1.5, multiplier_family("ones"), 1.0 - 2.0**-14)
+        multipliers._growth_integrals(3, 1.5, multiplier_family("ones"), [1.0 - 2.0**-14])
+
+
+# float.hex of I(s) at rtol 1e-7 as computed radius by radius before the
+# growth curve batched its radii, at ten short radii below the ladder and
+# the ladder depths up to jmax: (n, m, family, jmax) -> bits.  ``ones`` and
+# ``powerlaw:0.5`` at m = 2 take the closed route past their short series,
+# ``powerlaw:0.75`` at m = 1.5 and ``finite:300`` sum series of more than
+# _AHEAD_TERMS terms with lookahead
+_PINNED_GROWTH_BITS = {
+    (3, 2.0, 'ones', 14): [
+        '0x1.a3fffffffffffp+2', '0x1.a3fffffffffffp+2', '0x1.a400000000000p+2',
+        '0x1.a400000000001p+2', '0x1.a400000000001p+2', '0x1.a400000000001p+2',
+        '0x1.a400000000000p+2', '0x1.a400000000001p+2', '0x1.a400000000000p+2',
+        '0x1.a400000000001p+2', '0x1.a400000000001p+2', '0x1.c9796f72a2f06p+2',
+        '0x1.4fb827a5fa9ecp+3', '0x1.0bd58d9f905dep+4', '0x1.b0d0fceb1c601p+4',
+        '0x1.5d89af77797e6p+5', '0x1.1a0389af816e1p+6', '0x1.c770ccd0f048dp+6',
+        '0x1.2b6598df3ea1fp+8', '0x1.8f86439c60e83p+9', '0x1.0e7a40b7ea66ap+11',
+        '0x1.73f21c59da797p+12', '0x1.02eef0263152dp+14', '0x1.6a85876ea2c36p+15',
+        '0x1.fd37427d5438ep+16', '0x1.666401be5f9f2p+18', '0x1.f93175b6057ecp+19',
+        '0x1.64694d4dd1422p+21', '0x1.f73bd0bb76dc3p+22', '0x1.6370186623d6dp+24',
+        '0x1.f643aad5228c4p+25', '0x1.62f4600a08ab9p+27', '0x1.f5c82ff4fd5d5p+28',
+        '0x1.62b6b7b49d33cp+30', '0x1.f58a963b30010p+31', '0x1.6297efec58e3dp+33',
+        '0x1.f56bd202e681bp+34', '0x1.62888f109e805p+36', '0x1.f55c72068f144p+37',
+        '0x1.6280df61f5d94p+39', '0x1.f554c28ff85ecp+40', '0x1.627d07bac0d63p+42',
+    ],
+    (5, 2.0, 'ones', 14): [
+        '0x1.3afffffffffffp+4', '0x1.3b00000000001p+4', '0x1.3b00000000003p+4',
+        '0x1.3b00000000002p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000000p+4', '0x1.3b00000000000p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b3c620bab7a1p+4',
+        '0x1.657a4dd384bc5p+4', '0x1.ec089d66fdbd2p+4', '0x1.71e15d3c27d50p+5',
+        '0x1.1ee40043bd31dp+6', '0x1.c22b3e1cfab43p+6', '0x1.634f44ae8d1e3p+7',
+        '0x1.c19e081949718p+8', '0x1.22d882203d2b7p+10', '0x1.806d2f9c74870p+11',
+        '0x1.03de169215f6dp+13', '0x1.653bfb5a19ae2p+14', '0x1.ef9fd39965767p+15',
+        '0x1.59dbf63f4d6cep+17', '0x1.e4a1a7ada8aa5p+18', '0x1.547a35151cda1p+20',
+        '0x1.df5236bb165b6p+21', '0x1.51d8615398ca0p+23', '0x1.dcb44538b667dp+24',
+        '0x1.508ab6397fdb9p+26', '0x1.db677d34cdeedp+27', '0x1.4fe4a04ead49cp+29',
+        '0x1.dac19d685cc2bp+30', '0x1.4f91c3460c10ep+32', '0x1.da6ecd913a0fap+33',
+        '0x1.4f685ffdcae9bp+35', '0x1.da456d8e77d6dp+36', '0x1.4f53b120e49b7p+38',
+        '0x1.da30bf81c80c2p+39', '0x1.4f495a6353ed9p+41', '0x1.da2668f74f99fp+42',
+    ],
+    (3, 2.0, 'powerlaw:0.5', 14): [
+        '0x1.a400000000000p+2', '0x1.a400000000000p+2', '0x1.a3fffffffffffp+2',
+        '0x1.a400000000000p+2', '0x1.a400000000001p+2', '0x1.a400000000001p+2',
+        '0x1.a400000000000p+2', '0x1.a400000000000p+2', '0x1.a400000000001p+2',
+        '0x1.a400000000001p+2', '0x1.a400000000000p+2', '0x1.a400000000002p+2',
+        '0x1.a94ab8f1521a9p+2', '0x1.086b89540f3ffp+3', '0x1.731ba72f8e265p+3',
+        '0x1.0edb7f8cdfdfep+4', '0x1.9016e7589f285p+4', '0x1.288a1fbd37ec8p+5',
+        '0x1.477c477a394d9p+6', '0x1.6cfd5d8fe4af7p+7', '0x1.9baaf6c969285p+8',
+        '0x1.d5e71cacb36a6p+9', '0x1.0efa3cd24219ap+11', '0x1.3b1ce40196ccfp+12',
+        '0x1.70bba0556ceafp+13', '0x1.b1dd7780f8827p+14', '0x1.004bcc72ee12ap+16',
+        '0x1.2f75a8b9ed0e7p+17', '0x1.67cbf5647a038p+18', '0x1.aafbea4a6343cp+19',
+        '0x1.fb08f632155afp+20', '0x1.2d2d6a1eb1636p+22', '0x1.65e7bdcf00c36p+23',
+        '0x1.a968784cfe694p+24', '0x1.f9b7b89f28155p+25', '0x1.2ca02d0388c89p+27',
+        '0x1.6571484672f3bp+28', '0x1.a9050803e80b5p+29', '0x1.f96433aaacf92p+30',
+        '0x1.2c7d169ec1c92p+32', '0x1.6553cb24b93e5p+33', '0x1.a8ec3e5cd1378p+34',
+    ],
+    (5, 2.0, 'powerlaw:0.5', 14): [
+        '0x1.3afffffffffffp+4', '0x1.3b00000000000p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000003p+4', '0x1.3b00000000002p+4', '0x1.3b00000000000p+4',
+        '0x1.3b00000000000p+4', '0x1.3b00000000000p+4', '0x1.3b00000000000p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000000p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000002p+4', '0x1.3f0a6e3bbf650p+4',
+        '0x1.964636137236ep+4', '0x1.1f5645574ce86p+5', '0x1.a3d2eea9727cep+5',
+        '0x1.ca6327983e7f5p+6', '0x1.f8bb466d2dee5p+7', '0x1.18a175eca6e25p+9',
+        '0x1.3bfd116f07d59p+10', '0x1.683d8494377cep+11', '0x1.9f18c84f95d95p+12',
+        '0x1.e261a9e18004dp+13', '0x1.1a529149b6edcp+15', '0x1.4c5a56d1cf8d4p+16',
+        '0x1.8884e0f84e998p+17', '0x1.d08fc68a5e5cdp+18', '0x1.134f4afebb288p+20',
+        '0x1.46a26a52355edp+21', '0x1.83cbd9098a3eep+22', '0x1.cca270034a0c5p+23',
+        '0x1.11ab9f50fcb6cp+25', '0x1.454329808c912p+26', '0x1.82a5640e7a110p+27',
+        '0x1.cbab56e28ceaap+28', '0x1.1143dfcf48dd0p+30', '0x1.44ec00b1d70a0p+31',
+        '0x1.825c25546d145p+32', '0x1.cb6dc66509b92p+33', '0x1.1129ff5943d89p+35',
+    ],
+    (3, 1.5, 'powerlaw:0.75', 8): [
+        '0x1.45f306dc9c880p+2', '0x1.45f306dc9c880p+2', '0x1.45f306dc9c880p+2',
+        '0x1.45f306dc9c880p+2', '0x1.45f306dc9c881p+2', '0x1.45f306dc9c881p+2',
+        '0x1.45f306dc9c881p+2', '0x1.45f306dc9c881p+2', '0x1.45f306dc9c880p+2',
+        '0x1.45f306dc9c881p+2', '0x1.45f306dc9c880p+2', '0x1.45f306dc9c881p+2',
+        '0x1.45f306dc9c881p+2', '0x1.45f306dc9c883p+2', '0x1.45f306dc9c883p+2',
+        '0x1.7a82a2fa0a8d5p+2', '0x1.e08a3571209cap+2', '0x1.3b83747a47ee2p+3',
+        '0x1.18b379dd3bb59p+4', '0x1.f71ba3ed5b485p+4', '0x1.c2c0052f49408p+5',
+        '0x1.9430a22eabb5ep+6', '0x1.6b54a6cee1dc2p+7', '0x1.47a8d398573f3p+8',
+        '0x1.2878539dc93d5p+9', '0x1.0d0d6f4b8a71fp+10', '0x1.e99121a81005ep+10',
+        '0x1.be4d0637d8d2ep+11', '0x1.977d7a8d0471ep+12', '0x1.747db8d305c41p+13',
+    ],
+    (3, 2.0, 'finite:300', 8): [
+        '0x1.a3fffffffffffp+2', '0x1.a3fffffffffffp+2', '0x1.a400000000000p+2',
+        '0x1.a400000000001p+2', '0x1.a400000000001p+2', '0x1.a400000000000p+2',
+        '0x1.a400000000000p+2', '0x1.a400000000002p+2', '0x1.a400000000001p+2',
+        '0x1.a400000000001p+2', '0x1.a400000000001p+2', '0x1.c9796f72cb049p+2',
+        '0x1.4fb827a5f82dap+3', '0x1.0bd58d9f9a5f7p+4', '0x1.b0d0fceb253dep+4',
+        '0x1.5d89af77785d7p+5', '0x1.1a0389af71f69p+6', '0x1.c770ccd101882p+6',
+        '0x1.2b6598df42f6ap+8', '0x1.8f86439e70220p+9', '0x1.0e7a40e4b71fep+11',
+        '0x1.73f2794f54ef2p+12', '0x1.0795df2eb2bcbp+14', '0x1.0cb976e51428cp+16',
+        '0x1.07b151b98ff32p+19', '0x1.a30ff842d6d2dp+21', '0x1.98db736739bb9p+23',
+        '0x1.0cc4617a3ffa2p+25', '0x1.0a3d9888db93fp+26', '0x1.afa20f5c9719bp+26',
+    ],
+}
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="bit patterns were taken with numpy 2.4.6 and scipy 1.17.1",
+)
+@pytest.mark.parametrize("case", sorted(_PINNED_GROWTH_BITS))
+def test_growth_integrals_keep_the_pinned_bits(case):
+    n, m, family, jmax = case
+    radii = [0.015 * i for i in range(1, 11)] + [1.0 - 2.0**-j for j in _LADDER_J if j <= jmax]
+    values = multipliers._growth_integrals(n, m, multiplier_family(family), radii, 1e-7)
+    assert [float(v).hex() for v in values] == _PINNED_GROWTH_BITS[case]
 
 
 @pytest.mark.parametrize("family,verdict", [("ones", "unbounded"), ("powerlaw:0.5", "bounded")])
@@ -356,6 +469,14 @@ def test_condition2_grid_validation():
         condition2_sup("ones", params_for(), j_levels=[5, 4, 3])
 
 
+@pytest.mark.parametrize("levels", [[-1, 3, 4, 5], [3, 4, math.nan], [0, 3, 4]])
+def test_condition2_grid_refuses_levels_outside_the_open_ladder(levels):
+    # 1 - rho = 2^-j needs a finite j > 0, as condition2_integral needs
+    # rho in (0, 1)
+    with pytest.raises(DomainError, match="finite and positive"):
+        condition2_sup("ones", params_for(), j_levels=levels)
+
+
 def test_growth_fit_needs_two_points():
     with pytest.raises(DomainError, match="two"):
         _fit_window([1.0], [2.0])
@@ -450,15 +571,16 @@ def test_reports_reproducible_after_cache_clear():
 
 
 def _count_growth_integrals(monkeypatch):
-    """Record (family key, s) of every growth integral computed."""
+    """Record (family key, s) of every growth integral computed: each
+    radius handed to ``_growth_integrals``."""
     seen = []
-    inner = multipliers._growth_integral
+    inner = multipliers._growth_integrals
 
-    def counted(n, m, family, s, rtol=1e-7):
-        seen.append((family.key, s))
-        return inner(n, m, family, s, rtol)
+    def counted(n, m, family, radii, rtol=1e-7):
+        seen.extend((family.key, s) for s in radii)
+        return inner(n, m, family, radii, rtol)
 
-    monkeypatch.setattr(multipliers, "_growth_integral", counted)
+    monkeypatch.setattr(multipliers, "_growth_integrals", counted)
     return seen
 
 
@@ -486,9 +608,10 @@ def test_condition2_after_probe_equals_cold_condition2():
 
 def _loop_curve(n, m, family):
     """A fresh growth curve that computes what ``at`` lacks radius by
-    radius through ``exact``, in the order ``at`` asks for them."""
+    radius, each a fill of one, in the order ``at`` asks for them."""
     curve = multipliers._GrowthCurve(n, m, family, 1e-7)
-    curve._fill = lambda radii: [curve.exact(s) for s in np.asarray(radii).tolist()]
+    fill = curve._fill
+    curve._fill = lambda radii: [fill([s])[0] for s in np.asarray(radii).tolist()]
     return curve
 
 
@@ -534,13 +657,13 @@ def test_growth_curve_fill_raises_as_the_per_radius_loop():
 
 def test_growth_curve_fill_takes_at_most_a_chunk_per_loop(monkeypatch):
     rows = []
-    real = multipliers._zonal_abs_power_means
+    real = _zonalseries._means_in_one_loop
 
-    def counted(dim, batch, power, rtol):
-        rows.append(batch.shape[0])
-        return real(dim, batch, power, rtol)
+    def counted(dim, batch, power, rtol, ahead):
+        rows.append(len(batch))
+        return real(dim, batch, power, rtol, ahead)
 
-    monkeypatch.setattr(multipliers, "_zonal_abs_power_means", counted)
+    monkeypatch.setattr(_zonalseries, "_means_in_one_loop", counted)
     curve = multipliers._GrowthCurve(3, 2.0, multiplier_family("ones"), 1e-7)
     curve.at(_fill_radii(8), 8)
     # the short ladder nodes, then the radii below the ladder in chunks

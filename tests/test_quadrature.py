@@ -17,7 +17,7 @@ from ballharm import (
     zonal,
     zonal_sphere_integral,
 )
-from ballharm import _zonalseries, expansion, quadrature
+from ballharm import _zonalseries, expansion
 from ballharm._zonalseries import zonal_abs_power_mean
 from ballharm.expansion import _basis_matrix, _per_entry
 from ballharm.quadrature import _direct_pnorm, _power_profile, _zonal_power_profile
@@ -304,7 +304,7 @@ def test_zonal_profile_makes_one_core_call_per_chunk(monkeypatch, K):
     expected = _per_radius_profile(3, coeffs, 1.0, radii)
     seen.clear()
     assert _zonal_power_profile(3, coeffs, 1.0, radii).tolist() == expected.tolist()
-    step = quadrature._PROFILE_CHUNK if K < 256 else 1
+    step = _zonalseries._PROFILE_CHUNK if K < 256 else 1
     assert seen == [
         (min(step, radii.size - start), _zonalseries._AHEAD_PANELS if K == 256 else 0)
         for start in range(0, radii.size, step)

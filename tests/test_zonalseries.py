@@ -9,8 +9,10 @@ from scipy.special import eval_chebyt, eval_gegenbauer
 from ballharm import _zonalseries, multipliers, sph_dim
 from ballharm._zonalseries import (
     _AHEAD_PANELS,
+    _PROFILE_CHUNK,
     _abs_power_mean,
     _series_sum,
+    _zonal_abs_power_means,
     zonal_abs_power_mean,
     zonal_series_values,
 )
@@ -100,7 +102,7 @@ def test_abs_power_mean_bits_pinned():
     for n, coeffs, power, bits in cases:
         assert float(zonal_abs_power_mean(n, coeffs, power, rtol=1e-9)).hex() == bits
     # the j = 8 growth series of ``ones`` (n = 3, m = 2), K = 12,569, which
-    # ``_growth_integral`` integrates by the closed-form kernel instead
+    # ``_growth_integrals`` integrates by the closed-form kernel instead
     value = zonal_abs_power_mean(3, _growth_series(3, 2.0, 8), 1.0, rtol=1e-7)
     assert float(value).hex() == "0x1.637018505085dp+24"
 
@@ -300,3 +302,38 @@ def test_batch_values_equal_batches_of_one():
     alone = [_core(3, part, d, 0.5, 1e-12) for part, d in zip(parts, deltas)]
     batch = _abs_power_mean(3, G, deltas, 0.5, 1e-12)
     assert [float(v).hex() for v in batch] == [float(v).hex() for v in alone]
+
+
+def _ragged_rows():
+    """Rows of 1, 255, 256 and 300 terms, an all-zero row, and a run of
+    short rows longer than one adaptive loop takes."""
+    rng = np.random.default_rng(11)
+    sizes = [1, 255, 256, 300, 40, 300, 1] + [8 + i for i in range(_PROFILE_CHUNK + 3)]
+    rows = [rng.standard_normal(K) * 0.97 ** np.arange(K) for K in sizes]
+    rows.insert(4, np.zeros(20))
+    return rows
+
+
+def test_ragged_rows_equal_the_row_by_row_loop():
+    rows = _ragged_rows()
+    expected = [float(zonal_abs_power_mean(3, row, 1.0, 1e-9)).hex() for row in rows]
+    assert [float(v).hex() for v in _zonal_abs_power_means(3, rows, 1.0, 1e-9)] == expected
+
+
+def _refusal(f, *args):
+    with np.errstate(all="ignore"), pytest.raises(AccuracyError) as err:
+        f(*args)
+    return str(err.value), repr(err.value.coarse), repr(err.value.fine)
+
+
+def test_ragged_rows_raise_the_error_of_the_lowest_failing_row():
+    # a short row whose |G|^2 overflows, then a long row of NaN: the batch
+    # raises what the short one raises alone
+    overflow = np.array([0.5, 0.5e308])
+    nan = np.concatenate([[1.0, np.nan], np.zeros(299)])
+    rows = _ragged_rows()
+    rows[5:5] = [overflow]
+    rows[9:9] = [nan]
+    expected = _refusal(zonal_abs_power_mean, 3, overflow, 2.0, 1e-9)
+    assert expected != _refusal(zonal_abs_power_mean, 3, nan, 2.0, 1e-9)
+    assert _refusal(_zonal_abs_power_means, 3, rows, 2.0, 1e-9) == expected
