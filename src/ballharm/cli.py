@@ -18,6 +18,7 @@ failed (its report is still written), 2 usage or validation failure,
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -77,6 +78,17 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ballharm",
@@ -114,12 +126,12 @@ def build_parser():
     p_lem = sub.add_parser("lemma", help="run a lemma check")
     p_lem.add_argument("--id", type=int, required=True)
     p_lem.add_argument("--dim", type=int, default=3)
-    p_lem.add_argument("--alpha", type=float, default=0.5)
-    p_lem.add_argument("--beta", type=float, default=1.0)
-    p_lem.add_argument("--lam", type=float, default=2.0)
-    p_lem.add_argument("--m", type=float, default=2.0)
-    p_lem.add_argument("--p", type=float, default=2.0)
-    p_lem.add_argument("--q", type=float, default=0.5)
+    p_lem.add_argument("--alpha", type=_finite_float, default=0.5)
+    p_lem.add_argument("--beta", type=_finite_float, default=1.0)
+    p_lem.add_argument("--lam", type=_finite_float, default=2.0)
+    p_lem.add_argument("--m", type=_finite_float, default=2.0)
+    p_lem.add_argument("--p", type=_finite_float, default=2.0)
+    p_lem.add_argument("--q", type=_finite_float, default=0.5)
     p_lem.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_lem.add_argument("--fast", action="store_true")
     p_lem.add_argument("--out", default=None)

@@ -8,7 +8,8 @@ Six checks, each producing a LemmaReport:
                                fitted on a coarse grid and validated on a
                                finer one, plus the integrated consequence
                                that int |Q_b| grows no faster than
-                               (1 - r rho)^-(1+b).
+                               (1 - r rho)^-(1+b).  Q_b is twice the
+                               growth kernel of ``ones`` at m = b.
 2. weighted radial integral    int_0^1 (1-r)^a (1-r rho)^-L dr decays like
                                (1-rho)^(a - L + 1).
 3. reproducing identity        sphere integral of (g * P_y')(r x') f(r x')
@@ -36,10 +37,8 @@ from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, UsageError
 from .expansion import HarmonicExpansion, _basis_block, _radial_values, frac_derivative, sph_dim
-from .multipliers import DEFAULT_SEED, _family_ones, _fit_window, _growth_curve
+from .multipliers import DEFAULT_SEED, _family_ones, _fit_window, _growth_curve, _growth_kernel
 from .quadrature import _q_means, _settle_by_doubling, radial_rule, sphere_rule
-from .specfun import _log_lambda_coeff, _sph_dim_array
-from ._zonalseries import zonal_series_values
 
 __all__ = [
     "LemmaReport",
@@ -99,27 +98,6 @@ def _poisson_convolution(g, direction):
 # ---------------------------------------------------------------------------
 
 
-def _qkernel_values(n, beta, s, t, rel_tol=1e-10):
-    """|Q_beta| at radius product s and cosines t, by truncated series."""
-    kmax = 256
-    while True:
-        k = np.arange(kmax + 1, dtype=float)
-        lg = _log_lambda_coeff(n, k, beta) + k * math.log(s)
-        logs = lg + np.log(_sph_dim_array(n, kmax))
-        ratio = s * (1.0 + (beta + 1.0) / (kmax + n / 2.0)) * (1.0 + (n - 1.0) / (kmax + 1.0))
-        if ratio < 1.0 - 0.25 * (1.0 - s):
-            tail = math.exp(logs[-1]) * ratio / (1.0 - ratio)
-            if tail < rel_tol * math.exp(logs.max()):
-                break
-        if kmax > 2_000_000:
-            raise AccuracyError(
-                f"kernel series truncation failed at s={s:g}", float("nan"), float("nan"), rel_tol
-            )
-        kmax *= 2
-    zc = 2.0 * np.exp(lg)
-    return np.abs(zonal_series_values(n, zc, t))
-
-
 def check_lemma1(n, beta, grid=None, slack=1.05):
     """Fit (C1, C2) for the two-term kernel bound on a coarse grid, verify
     no violation beyond the slack factor on a 4x finer grid, and check that
@@ -135,23 +113,23 @@ def check_lemma1(n, beta, grid=None, slack=1.05):
                                            1.0 - (1.0 - radii[-1]) / 2.0 * np.ones(1)]))
     fine_cos = np.cos(np.linspace(0.0, math.pi, 4 * (cosines.size - 1) + 1))
 
+    ones = _family_ones()
+
     def assemble(rv, tv):
-        rows_lhs, rows_t1, rows_t2 = [], [], []
-        for r in rv:
-            for rho in rv:
-                s = r * rho
-                lhs = _qkernel_values(n, beta, s, tv)
-                dist = np.sqrt(np.maximum(1.0 - 2.0 * s * tv + s * s, 1e-30))
-                t1 = (1.0 - r) ** (-beta) / dist ** (n + math.floor(beta))
-                t2 = np.full_like(tv, (1.0 - s) ** (-(1.0 + beta)))
-                rows_lhs.append(lhs)
-                rows_t1.append(t1)
-                rows_t2.append(t2)
-        return (
-            np.concatenate(rows_lhs),
-            np.concatenate(rows_t1),
-            np.concatenate(rows_t2),
-        )
+        # every bound term before any kernel: at large beta the terms
+        # overflow, and the closed kernel takes beta + 1 steps per call
+        r, s = np.repeat(rv, rv.size)[:, None], np.outer(rv, rv).reshape(-1, 1)
+        dist = np.sqrt(np.maximum(1.0 - 2.0 * s * tv + s * s, 1e-30))
+        with np.errstate(all="ignore"):
+            t1 = ((1.0 - r) ** (-beta) / dist ** (n + math.floor(beta))).ravel()
+            t2 = np.repeat((1.0 - s) ** (-(1.0 + beta)), tv.size)
+        if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+            raise AccuracyError(f"lemma 1 bound terms are not finite at beta={beta:g}",
+                                math.nan, math.nan, slack)
+        # Q_beta is twice the growth kernel of ``ones`` at m = beta
+        kernels = (_growth_kernel(n, beta, ones, si) for si in s.ravel())
+        lhs = np.concatenate([2.0 * np.abs(G(np.arccos(tv))) for G in kernels])
+        return lhs, t1, t2
 
     lhs, t1, t2 = assemble(radii, cosines)
     design = np.stack([t1, t2], axis=1)
@@ -168,7 +146,7 @@ def check_lemma1(n, beta, grid=None, slack=1.05):
     # integrated consequence: growth exponent of int |Q_beta| in 1/(1 - s)
     js = np.arange(2.0, 8.5, 1.0)
     svals = 1.0 - 2.0 ** (-js)
-    curve = _growth_curve(n, beta, _family_ones(), rtol=1e-8)
+    curve = _growth_curve(n, beta, ones, rtol=1e-8)
     ints = [2.0 * v for v in curve._fill(svals)]
     slope = float(np.polyfit(js * math.log(2.0), np.log(ints), 1)[0])
 

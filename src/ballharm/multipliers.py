@@ -34,9 +34,10 @@ and reads its radii below the ladder at s itself.
 The curve computes the I(s) it lacks in one ``_growth_integrals`` call,
 which picks one of two routes per radius from the input alone.  The named
 families ``ones`` and ``powerlaw:t`` at integer m >= 0 have a closed-form
-kernel: Taylor ("jet") arithmetic on the m+1-th derivative of the Poisson
-kernel for ``ones``, and for ``powerlaw:t`` a mixture of those kernels at
-s e^-u under a graded u-rule.  It costs the same at any depth, so it takes
+kernel, which ``_growth_kernel`` returns for this route and for lemma 1:
+Taylor ("jet") arithmetic on the m+1-th derivative of the Poisson kernel
+for ``ones``, and for ``powerlaw:t`` a mixture of those kernels at s e^-u
+under a graded u-rule.  It costs the same at any depth, so it takes
 every I(s) whose series would need more than ``_AHEAD_TERMS`` terms, grid
 levels j = 11..14 past the series' degree cap among them.  All else sums
 the truncated zonal series, batched as ``_zonalseries`` sets out.
@@ -66,7 +67,7 @@ from .expansion import (
 )
 from .quadrature import _settle_by_doubling, _zonal_power_profile, radial_rule, sphere_rule
 from .specfun import _gauss_jacobi, _log_lambda_coeff, _sph_dim_array
-from ._zonalseries import _AHEAD_TERMS, _abs_power_mean, _zonal_abs_power_means
+from ._zonalseries import _AHEAD_TERMS, _abs_power_mean, _zonal_abs_power_means, zonal_series_values
 
 __all__ = [
     "TheoremParams",
@@ -272,11 +273,6 @@ def _series_degrees(n, m, family, rtol=1e-7, cap=_SERIES_DEGREE_CAP):
     return degree
 
 
-def _series_degree(n, m, family, s, rtol=1e-7, cap=_SERIES_DEGREE_CAP):
-    """``_series_degrees`` at the one radius s."""
-    return _series_degrees(n, m, family, rtol, cap)(s)
-
-
 def _ones_kernel(n, m, s, d, sin2):
     """sum_k gamma_k s^k Z_k(cos theta) for c_k = 1 and integer m >= 0, at
     sin2 = sin^2(theta/2), with d = 1 - s given apart to keep its digits;
@@ -377,9 +373,20 @@ def _powerlaw_kernel(n, m, t, s, rule, theta):
     return out.reshape(theta.shape)
 
 
-def _closed_kernel(n, m, family, s):
-    """G(theta) = sum_k gamma_k c_k s^k Z_k(cos theta) in closed form, as a
-    function of theta, for ``ones`` or ``powerlaw:t`` at integer m >= 0."""
+def _has_closed_kernel(m, family):
+    """Whether the growth kernel has a closed form: ``ones`` and
+    ``powerlaw:t`` at integer m >= 0."""
+    return float(m).is_integer() and m >= 0 and family.key[0] in ("ones", "powerlaw")
+
+
+def _growth_kernel(n, m, family, s):
+    """G(theta) = sum_k gamma_k c_k s^k Z_k(cos theta), as a function of
+    theta: in closed form where ``_has_closed_kernel``, else the series
+    truncated where its tail falls below 1e-14 of the peak term, the
+    floor of ``_series_degrees``, which rtol = 0 asks for."""
+    if not _has_closed_kernel(m, family):
+        series = _growth_series(n, m, family, s, _series_degrees(n, m, family, 0.0)(s))
+        return lambda theta: zonal_series_values(n, series, np.cos(theta))
     t = family.key[1] if family.key[0] == "powerlaw" else 0.0
     if t == 0.0:
         d = 1.0 - s
@@ -397,7 +404,7 @@ def _growth_series(n, m, family, s, K):
 def _closed_integrals(n, m, family, radii, rtol):
     """I(s) at each of ``radii`` by the closed-form kernel, in one adaptive
     loop whose G(theta, owner) evaluates each owner's kernel."""
-    kernels = [_closed_kernel(n, m, family, s) for s in radii]
+    kernels = [_growth_kernel(n, m, family, s) for s in radii]
 
     def G(theta, owner):
         values = np.empty_like(theta)
@@ -423,7 +430,7 @@ def _growth_integrals(n, m, family, radii, rtol=1e-7):
     """
     c0 = float(family.values(0)[0])
     gamma0 = math.exp(_log_lambda_coeff(n, np.array(0.0), m))
-    closed = float(m).is_integer() and m >= 0 and family.key[0] in ("ones", "powerlaw")
+    closed = _has_closed_kernel(m, family)
     degree = _series_degrees(n, m, family, rtol, _AHEAD_TERMS if closed else _SERIES_DEGREE_CAP)
     # (route, s, K) per radius, up to a radius whose degree search refuses
     routes, refusal = [], None

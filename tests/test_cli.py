@@ -232,6 +232,25 @@ def test_lemma2_precondition_exits_2():
     assert main(["lemma", "--id", "2", "--alpha", "0.5", "--lam", "1.2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["--id", "1", "--beta", "nan"], ["--id", "2", "--lam", "inf"],
+                                  ["--id", "5", "--p", "nan"], ["--id", "6", "--m", "inf"]])
+def test_lemma_non_finite_parameter_exits_2(argv, capsys):
+    assert main(["lemma"] + argv) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["300", "300.5", "1e6"])
+def test_lemma1_overflowing_bound_exits_3_before_any_kernel(beta, monkeypatch, capsys):
+    from ballharm import lemmas
+
+    def kernel(*args):
+        raise AssertionError("lemma 1 evaluated a kernel")
+
+    monkeypatch.setattr(lemmas, "_growth_kernel", kernel)
+    assert main(["lemma", "--id", "1", "--beta", beta]) == 3
+    assert "bound terms are not finite" in capsys.readouterr().err
+
+
 def test_mult_check_hypothesis_violation_quotes_constraint(capsys):
     code = main(["mult-check", "--alpha", "0.5", "--beta", "0.25", "--p", "1.5"])
     assert code == 2
@@ -315,3 +334,11 @@ def test_cli_entrypoint_subprocess(const_file):
 def test_unknown_arguments_exit_2():
     assert main(["norm", "--nope"]) == 2
     assert main(["mult-check", "--alpha", "0.5"]) == 2  # --beta missing
+
+
+def test_package_runs_as_a_module():
+    # python -m ballharm exits with main's code
+    run = lambda *argv: subprocess.run([sys.executable, "-m", "ballharm", *argv],
+                                       capture_output=True, text=True).returncode
+    assert run("--help") == 0
+    assert run("lemma", "--id", "7") == 2

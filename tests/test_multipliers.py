@@ -87,8 +87,8 @@ def test_growth_integral_series_degree_pinned(family, j, expected):
     # n = 3, m = 2; the route pick's search stops at _AHEAD_TERMS terms
     s = 1.0 - 2.0 ** (-j)
     fam = multiplier_family(family)
-    assert multipliers._series_degree(3, 2.0, fam, s) == expected
-    assert multipliers._series_degree(3, 2.0, fam, s, cap=_AHEAD_TERMS) is None
+    assert multipliers._series_degrees(3, 2.0, fam)(s) == expected
+    assert multipliers._series_degrees(3, 2.0, fam, cap=_AHEAD_TERMS)(s) is None
 
 
 # theta = 0 and pi, an even grid, and a graded run into the peak at theta = 0
@@ -107,7 +107,7 @@ def test_closed_kernel_matches_truncated_series(n, family):
             k = np.arange(K + 1, dtype=float)
             series = lambda_coeff(n, k, m) * s**k * fam.values(K)
             expected = zonal_series_values(n, series, np.cos(_THETA))
-            got = multipliers._closed_kernel(n, float(m), fam, s)(_THETA)
+            got = multipliers._growth_kernel(n, float(m), fam, s)(_THETA)
             err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
             assert err <= 1e-12, (m, s, err)
 
@@ -163,7 +163,7 @@ def _todays_route(n, m, family, s, closed):
     the family has one, for K + 1 > _AHEAD_TERMS terms or a search past the
     degree cap; else the series at the full search's K."""
     try:
-        K = multipliers._series_degree(n, m, family, s)
+        K = multipliers._series_degrees(n, m, family)(s)
     except AccuracyError as err:
         return ("closed",) if closed else ("refused", str(err))
     return ("closed",) if closed and K + 1 > _AHEAD_TERMS else ("series", K)

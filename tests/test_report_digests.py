@@ -57,6 +57,9 @@ CASES = {
     # probe's denominator is the ``ones`` curve, so its ratios move with it
     "mult-check-file": (MULT_CHECK + ["--multiplier", "zm.json"], 0,
                         "5b7d94b39c2741f58f32ef89ae90aa75d782cba524cbcf5e7033bc606e1048aa"),
+    # the pointwise kernel is the closed growth kernel at integer beta
+    "lemma-1": (["lemma", "--id", "1"], 0,
+                "48672391370679446b39af8f4d29eb3c7f8eb4b3611bf6a6bd2e43e3d89b9db9"),
     "lemma-4": (["lemma", "--id", "4"], 0,
                 "b08bdd770c738afaec22034670d698f74fb12e851a2da69b85420f9e17628b69"),
     "lemma-5": (["lemma", "--id", "5"], 0,

@@ -164,7 +164,7 @@ def _growth_series(n, m, j):
     """The zonal coefficients of the ``ones`` growth series at s = 1 - 2^-j,
     truncated where the series route of I(s) truncates it."""
     family, s = multiplier_family("ones"), 1.0 - 2.0**-j
-    K = multipliers._series_degree(n, m, family, s)
+    K = multipliers._series_degrees(n, m, family)(s)
     return multipliers._growth_series(n, m, family, s, K)
 
 
