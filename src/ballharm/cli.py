@@ -113,14 +113,14 @@ def build_parser():
 
     p_ker = sub.add_parser("kernel", help="write a kernel coefficient file")
     p_ker.add_argument("--dim", type=int, default=3)
-    p_ker.add_argument("--m", type=float, default=None,
+    p_ker.add_argument("--m", type=_finite_float, default=None,
                        help="kernel order; omitted means the Poisson kernel")
     p_ker.add_argument("--max-degree", type=int, default=None, dest="max_degree")
-    p_ker.add_argument("--r-max", type=float, default=0.9, dest="r_max")
-    p_ker.add_argument("--tol", type=float, default=1e-9)
+    p_ker.add_argument("--r-max", type=_finite_float, default=0.9, dest="r_max")
+    p_ker.add_argument("--tol", type=_finite_float, default=1e-9)
     p_ker.add_argument("--pole", default=None, help="comma-separated unit vector")
-    p_ker.add_argument("--eval-r", type=float, default=None, dest="eval_r")
-    p_ker.add_argument("--eval-t", type=float, default=None, dest="eval_t")
+    p_ker.add_argument("--eval-r", type=_finite_float, default=None, dest="eval_r")
+    p_ker.add_argument("--eval-t", type=_finite_float, default=None, dest="eval_t")
     p_ker.add_argument("--out", default=None, help="coefficient file to write")
 
     p_lem = sub.add_parser("lemma", help="run a lemma check")

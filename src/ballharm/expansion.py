@@ -13,9 +13,10 @@ The bases are orthonormal under NORMALIZED surface measure.  For n = 2 the
 degree-k block is (sqrt(2) cos k*theta, sqrt(2) sin k*theta); for n = 3 it
 consists of the real spherical harmonics ordered by azimuthal index
 -k, ..., k and scaled by sqrt(4*pi) relative to the unit-measure-on-4pi
-convention.  Under this normalization the degree-k addition sum equals
-d_k = sph_dim(n, k) and the Poisson kernel has the closed form
-(1 - r^2)/|x - y'|^n with no area factor.
+convention, built for all degrees at once by the fully normalized
+associated-Legendre recurrence.  Under this normalization the degree-k
+addition sum equals d_k = sph_dim(n, k) and the Poisson kernel has the
+closed form (1 - r^2)/|x - y'|^n with no area factor.
 
 Operators: pointwise evaluation, coefficientwise convolution, multiplier
 application, the fractional radial derivative of order m + 1, the Poisson
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, lpmv
 
 from . import reports
 from .errors import (
@@ -220,40 +220,76 @@ class KernelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _basis_block(dim, k, points):
-    """Values of the degree-k orthonormal basis at unit vectors.
+def _basis_matrix(dim, max_degree, points):
+    """Values of the orthonormal basis at unit vectors, shape (M, sum_k d_k).
 
-    points: array of shape (M, dim).  Returns shape (M, d_k).
+    points: array of shape (M, dim).  Block k fills the d_k columns from
+    sum_(i<k) d_i on (k^2 for n = 3), ordered as in ``basis_value``.
+
+    For n = 3 the block is sqrt(2 - delta_m0) Pbar_k^m(cos theta) times
+    sin(m phi) (index -m) or cos(m phi) (index m), where Pbar_k^m =
+    sqrt((2k+1)(k-m)!/(k+m)!) P_k^m carries the Condon-Shortley sign.  It is
+    built one order m at a time by the fully normalized recurrence
+    (Holmes & Featherstone, J. Geodesy 76, 2002):
+
+        Pbar_m^m     = -sqrt((2m+1)/(2m)) sin(theta) Pbar_(m-1)^(m-1),
+        Pbar_(m+1)^m = sqrt(2m+3) cos(theta) Pbar_m^m,
+        Pbar_k^m     = a_km cos(theta) Pbar_(k-1)^m - b_km Pbar_(k-2)^m.
+
+    The sectoral seeds fall like sin(theta)^m, so the recurrence carries a
+    factor 2^900 (exact in binary) that keeps them normal up to DEGREE_CAP
+    and is divided out as each column is written.  The n = 3 matrix is the
+    transpose of a buffer filled one contiguous row per column: strided
+    column writes into a row-major matrix cost more than the recurrence.
     """
     points = np.asarray(points, dtype=float)
+    M = points.shape[0]
     if dim == 2:
         theta = np.arctan2(points[:, 1], points[:, 0])
-        if k == 0:
-            return np.ones((points.shape[0], 1))
-        return np.stack(
-            [math.sqrt(2.0) * np.cos(k * theta), math.sqrt(2.0) * np.sin(k * theta)],
-            axis=1,
-        )
-    if dim == 3:
-        ct = np.clip(points[:, 2], -1.0, 1.0)
-        phi = np.arctan2(points[:, 1], points[:, 0])
-        cols = []
-        for m_az in range(-k, k + 1):
-            ma = abs(m_az)
-            norm = math.sqrt(
-                (2.0 if ma > 0 else 1.0)
-                * (2 * k + 1)
-                * math.exp(gammaln(k - ma + 1) - gammaln(k + ma + 1))
-            )
-            leg = lpmv(ma, k, ct)
-            if m_az < 0:
-                cols.append(norm * leg * np.sin(ma * phi))
-            elif m_az == 0:
-                cols.append(norm * leg)
+        out = np.empty((M, 2 * max_degree + 1))
+        out[:, 0] = 1.0
+        for k in range(1, max_degree + 1):
+            out[:, 2 * k - 1] = math.sqrt(2.0) * np.cos(k * theta)
+            out[:, 2 * k] = math.sqrt(2.0) * np.sin(k * theta)
+        return out
+    if dim != 3:
+        raise UnsupportedBasisError(f"explicit bases exist only for dim 2 and 3, got {dim}")
+    cos_theta = np.clip(points[:, 2], -1.0, 1.0)
+    sin_theta = np.hypot(points[:, 0], points[:, 1])
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    scale = 2.0**900
+    out = np.empty(((max_degree + 1) ** 2, M))
+    sectoral = np.full(M, scale)
+    for m in range(max_degree + 1):
+        if m:
+            sectoral = -math.sqrt((2 * m + 1) / (2 * m)) * sin_theta * sectoral
+            cos_m = (math.sqrt(2.0) / scale) * np.cos(m * phi)
+            sin_m = (math.sqrt(2.0) / scale) * np.sin(m * phi)
+        prev, cur = None, sectoral
+        for k in range(m, max_degree + 1):
+            if k == m + 1:
+                prev, cur = cur, math.sqrt(2 * m + 3) * cos_theta * cur
+            elif k > m + 1:
+                a = math.sqrt((2 * k - 1) * (2 * k + 1) / ((k - m) * (k + m)))
+                b = math.sqrt(
+                    (2 * k + 1) * (k + m - 1) * (k - m - 1) / ((k - m) * (k + m) * (2 * k - 3))
+                )
+                prev, cur = cur, a * cos_theta * cur - b * prev
+            zonal = k * k + k
+            if m:
+                np.multiply(cur, cos_m, out=out[zonal + m])
+                np.multiply(cur, sin_m, out=out[zonal - m])
             else:
-                cols.append(norm * leg * np.cos(ma * phi))
-        return np.stack(cols, axis=1)
-    raise UnsupportedBasisError(f"explicit bases exist only for dim 2 and 3, got {dim}")
+                np.multiply(cur, 1.0 / scale, out=out[zonal])
+    return out.T
+
+
+def _basis_blocks(dim, max_degree, point):
+    """The basis blocks of degrees 0..max_degree at one unit vector, as
+    views of one ``_basis_matrix`` row."""
+    row = _basis_matrix(dim, max_degree, np.asarray(point, dtype=float).reshape(1, -1))[0]
+    ends = np.cumsum([sph_dim(dim, k) for k in range(max_degree + 1)])
+    return np.split(row, ends[:-1])
 
 
 def basis_value(n, k, j, point):
@@ -272,14 +308,7 @@ def basis_value(n, k, j, point):
         raise DomainError(f"point must have {n} components")
     if abs(np.linalg.norm(point) - 1.0) > 1e-8:
         raise DomainError("point must be a unit vector")
-    return float(_basis_block(n, k, point)[0, j - 1])
-
-
-def _basis_matrix(dim, max_degree, points):
-    """Concatenated basis values, shape (M, sum_k d_k)."""
-    return np.concatenate(
-        [_basis_block(dim, k, points) for k in range(max_degree + 1)], axis=1
-    )
+    return float(_basis_blocks(n, k, point)[k][j - 1])
 
 
 def _per_entry(blocks, per_degree):

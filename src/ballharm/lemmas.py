@@ -36,7 +36,14 @@ from scipy.optimize import nnls
 from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, UsageError
-from .expansion import HarmonicExpansion, _basis_block, _radial_values, frac_derivative, sph_dim
+from .expansion import (
+    DEGREE_CAP,
+    HarmonicExpansion,
+    _basis_blocks,
+    _radial_values,
+    frac_derivative,
+    sph_dim,
+)
 from .multipliers import DEFAULT_SEED, _family_ones, _fit_window, _growth_curve, _growth_kernel
 from .quadrature import _q_means, _settle_by_doubling, radial_rule, sphere_rule
 
@@ -85,11 +92,7 @@ def _sphere_pairing(u, v, radii, rule):
 
 def _poisson_convolution(g, direction):
     """g * P_{y'} as a full expansion: block k becomes c_k^(j) y_j^(k)(y')."""
-    direction = np.asarray(direction, dtype=float).reshape(1, -1)
-    blocks = [
-        g.coeffs[k] * _basis_block(g.dim, k, direction)[0]
-        for k in range(g.max_degree + 1)
-    ]
+    blocks = [c * y for c, y in zip(g.coeffs, _basis_blocks(g.dim, g.max_degree, direction))]
     return HarmonicExpansion(g.dim, "full", blocks)
 
 
@@ -234,8 +237,7 @@ def _pairing_mismatch(n, f, g, y, r, rule):
     gp = _poisson_convolution(g, y)
     left = _sphere_pairing(gp, f, [r], rule)[0]
     right = 0.0
-    for k in range(min(f.max_degree, g.max_degree) + 1):
-        yk = _basis_block(n, k, np.asarray(y, dtype=float).reshape(1, -1))[0]
+    for k, yk in enumerate(_basis_blocks(n, min(f.max_degree, g.max_degree), y)):
         right += r ** (2 * k) * float((g.coeffs[k] * f.coeffs[k] * yk).sum())
     return abs(left - right) / max(abs(right), 1e-300)
 
@@ -284,12 +286,19 @@ def check_lemma3(n, f=None, g=None, r=None, direction=None, tuples=20,
 # ---------------------------------------------------------------------------
 
 
+def _capped_rule_size(N):
+    """N, refused past DEGREE_CAP: the Gauss-Jacobi build grows like N^2."""
+    if N > DEGREE_CAP:
+        raise UsageError(f"a radial rule of {N} nodes exceeds the degree cap {DEGREE_CAP}")
+    return N
+
+
 def check_lemma4(n, m, k_max=40, rel_tol=1e-10):
     """Quadrature of int_0^1 (1-R^2)^m R^(2k+n-1) dR against the Gamma form
     (1/2) Gamma(m+1) Gamma(k+n/2) / Gamma(m+1+n/2+k) for k <= k_max."""
     if k_max > 60:
         raise UsageError("degree-exact rule sized for k_max <= 60")
-    rule = radial_rule(0.0, m + k_max + n + 2)
+    rule = radial_rule(0.0, _capped_rule_size(m + k_max + n + 2))
     R, w = rule.nodes, rule.weights
     worst = 0.0
     for k in range(k_max + 1):
@@ -421,13 +430,13 @@ def check_lemma6(n, f=None, g=None, r=None, direction=None, m=2, tuples=20,
             raise UsageError("explicit mode needs f, g, r and direction together")
         deg = max(f.max_degree, g.max_degree)
         rule = sphere_rule(n, 2 * deg + 4)
-        radial = radial_rule(0.0, deg + m + n + 2)
+        radial = radial_rule(0.0, _capped_rule_size(deg + m + n + 2))
         worst = _ball_pairing_mismatch(n, m, f, g, direction, r, rule, radial)
         grid = f"n={n}, m={m}, single explicit tuple"
     else:
         rng = np.random.default_rng(seed)
         rule = sphere_rule(n, 2 * degree + 4)
-        radial = radial_rule(0.0, degree + m + n + 2)
+        radial = radial_rule(0.0, _capped_rule_size(degree + m + n + 2))
         worst = 0.0
         for _ in range(tuples):
             ft = _random_full(n, degree, rng)

@@ -580,8 +580,8 @@ def _direction_design(dim, count):
 
 def _full_condition2_integrals(g, params, rhos, directions, resolution=None):
     """I(rho, y') for a full-kind multiplier by spherical quadrature, one row
-    per rho and one column per direction.  The rule and the bases at its
-    nodes and at each direction are built once per call."""
+    per rho and one column per direction.  The bases at the rule's nodes
+    and at all the directions are built once per call."""
     blocks = g.values if isinstance(g, MultiplierSequence) else g.coeffs
     K = len(blocks) - 1
     if resolution is None:
@@ -592,7 +592,7 @@ def _full_condition2_integrals(g, params, rhos, directions, resolution=None):
     node_basis = _basis_matrix(params.dim, K, rule.nodes)
     coeffs = np.concatenate(blocks)
     # c_k^(j) y_j^(k)(y') for each direction y'
-    weighted = [coeffs * _basis_matrix(params.dim, K, y.reshape(1, -1))[0] for y in directions]
+    weighted = [coeffs * row for row in _basis_matrix(params.dim, K, directions)]
     k = np.arange(K + 1, dtype=float)
     log_lam = _log_lambda_coeff(params.dim, k, params.m)
     out = np.empty((len(rhos), len(weighted)))

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ def test_lemma2_precondition_exits_2():
 def test_lemma_non_finite_parameter_exits_2(argv, capsys):
     assert main(["lemma"] + argv) == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--m", "--r-max", "--tol", "--eval-r", "--eval-t"])
+def test_kernel_non_finite_option_exits_2(option, capsys):
+    assert main(["kernel", option, "nan"]) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lemma_id", ["4", "6"])
+def test_lemma_rule_past_degree_cap_exits_2_quickly(lemma_id, capsys):
+    # lemmas 4 and 6 size a Gauss-Jacobi rule by m; past the degree cap the
+    # build would run for hours, so it is refused before it starts
+    start = time.perf_counter()
+    assert main(["lemma", "--id", lemma_id, "--m", "1e6"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "degree cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("beta", ["300", "300.5", "1e6"])

@@ -28,6 +28,7 @@ from ballharm import (
     sph_dim,
     tail_degree,
 )
+from ballharm.expansion import _basis_matrix
 from ballharm.quadrature import sphere_rule
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -108,6 +109,32 @@ def test_basis_addition_sum_n3():
         assert total == pytest.approx(2 * k + 1, rel=1e-12)
 
 
+def test_basis_addition_theorem_n3_to_degree_120_and_at_the_poles():
+    # sum_j Y_kj(x)^2 = 2k + 1 holds for every block at every unit vector;
+    # the points include both poles and points within 1e-12 of each
+    rng = np.random.default_rng(120)
+    points = rng.standard_normal((200, 3))
+    points[:6] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [3e-13, -4e-13, 1.0],
+                  [-6e-13, 8e-13, -1.0], [1e-12, 0.0, 1.0], [0.0, -1e-12, -1.0]]
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    basis = _basis_matrix(3, 120, points)
+    for k in range(121):
+        sums = (basis[:, k * k:(k + 1) ** 2] ** 2).sum(axis=1)
+        np.testing.assert_allclose(sums, 2 * k + 1, rtol=1e-12, err_msg=f"block {k}")
+
+
+def test_basis_addition_theorem_n3_at_the_degree_cap():
+    # at sin(theta) = 1/e the order-K/e sectoral seed is about e^(-K/e),
+    # below the smallest normal double once K > 1925, while the blocks it
+    # seeds are of order one
+    s = 1.0 / math.e
+    point = np.array([[0.6 * s, 0.8 * s, math.sqrt(1.0 - s * s)]])
+    basis = _basis_matrix(3, DEGREE_CAP, point)[0]
+    for k in (1925, 2000, DEGREE_CAP):
+        total = (basis[k * k:(k + 1) ** 2] ** 2).sum()
+        assert total == pytest.approx(2 * k + 1, rel=1e-12)
+
+
 def test_basis_index_errors():
     with pytest.raises(IndexError):
         basis_value(2, 2, 3, [1.0, 0.0])
@@ -143,6 +170,14 @@ def test_evaluate_zonal_degree_one_n3():
         d /= np.linalg.norm(d)
         r = rng.uniform(0, 0.95)
         assert evaluate(f, r, d) == pytest.approx(3.0 * r * d[2], rel=1e-13, abs=1e-14)
+
+
+def test_evaluate_full_n3_past_degree_85_is_finite():
+    # scipy's lpmv(85, 86, x) is NaN, which once made every dim-3 full
+    # expansion of degree >= 86 evaluate to NaN
+    f = HarmonicExpansion(3, "full", [np.ones(2 * k + 1) for k in range(91)])
+    value = evaluate(f, 0.5, np.array([2.0, -3.0, 6.0]) / 7.0)
+    assert math.isfinite(value)
 
 
 def test_evaluate_domain_errors():

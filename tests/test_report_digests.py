@@ -65,7 +65,7 @@ CASES = {
     "lemma-5": (["lemma", "--id", "5"], 0,
                 "130e3379150a69362d32f30c4c2d2c7bf14e91dae35bf113d72440847324ffdb"),
     "lemma-3-fast": (["lemma", "--id", "3", "--fast"], 0,
-                     "7a9958c804afd11f555e41f572e896ba0a1cc6942401c6853178e740daaf3190"),
+                     "a396c322ae017c56f35a258cdebf645593b5c6416fe64cc743982826b028c86e"),
     "lemma-6-fast": (["lemma", "--id", "6", "--fast"], 0,
                      "2c956dc9d199ba7c84d5aa7f8697f31f498209e62c10cdd77da4177562086c2c"),
 }
@@ -76,7 +76,7 @@ FULL_CONDITION2 = {
     2: ([[1.0], [0.5, -0.25], [0.125, 0.375], [-0.0625, 0.25]],
         "3cf509a94e02cf2fa5b7628cf5ca0a9ec69aa3733245761b94689dfa293c5bf7"),
     3: ([[1.0], [0.5, -0.25, 0.75], [0.125, 0.375, -0.5, 0.25, 0.0625]],
-        "ce6fd32180b33f7b3596a34825df45f707fedbde2ef0b17fb8dd6f2f7b6d4905"),
+        "fe4e07badd76059f264f35f4ee1b8c85b5f1f397f24baf356499fbbcd1851ecd"),
 }
 
 
