@@ -7,25 +7,36 @@ to u_k(1) = 1 keeps every recurrence intermediate in [-1, 1], so series
 with tens of thousands of terms evaluate stably.
 
 The other primitive here is the normalized surface integral of |G|^q.
-Kernel-type integrands (Poisson and its fractional derivatives) concentrate
-in a peak of angular width ~(1 - s) at theta = 0 with an algebraically
-decaying, finitely-oscillating tail, so a geometrically graded panel mesh
-refined toward theta = 0 plus adaptive bisection of the few panels
-containing sign changes resolves the integrand at any depth actually
-reachable in double precision.  ``_abs_power_mean`` integrates any such
-integrand of theta; ``zonal_abs_power_mean`` feeds it the series.
+At q = 1 a short series has an exact route, ``_exact_abs_means``: split
+[-1, 1] at the roots of G, found as colleague-matrix eigenvalues, and
+integrate each piece by the Gegenbauer primitive.  Every other integral
+takes the adaptive core.  Kernel-type integrands (Poisson and its
+fractional derivatives) concentrate in a peak of angular width ~(1 - s)
+at theta = 0 with an algebraically decaying, finitely-oscillating tail,
+so a geometrically graded panel mesh refined toward theta = 0 plus
+adaptive bisection of the few panels containing sign changes resolves
+the integrand at any depth actually reachable in double precision.
+``_abs_power_mean`` integrates any such integrand of theta;
+``zonal_abs_power_mean`` feeds it the series.
 
 A series costs mostly per call: the recurrence pays interpreter overhead
 for each of its K terms, so a call on 2,300 points costs only about twice
 one on 250.  ``_zonal_abs_power_means``, the one place that decides which
 series share a call, takes the coefficient rows of any batch (the radii
 of a mean profile, the series-route radii of a growth curve) and keeps
-the bits and the errors of the row-by-row loop:
+the bits and the errors of the row-by-row loop.  Each row takes one of
+three routes (``_route``):
 
-* consecutive rows of at most ``_AHEAD_TERMS`` terms go ``_PROFILE_CHUNK``
-  per adaptive loop, zero-padded to the widest (a zero term adds +-0 to a
-  row's sum); each round calls the recurrence once for the panels of
-  every row, gathering each row's weights per panel;
+* at q = 1, consecutive rows of at most ``_EXACT_TERMS`` = 65 terms
+  (degree 64) go ``_EXACT_CHUNK`` per call to the exact route.  The 16/32
+  acceptance test of the core can pass at a kink of |G| while both values
+  are wrong (1.9e-7 off at K = 64, rtol 1e-10); this route has no kinks to
+  miss.  Its root finding costs O(K^3) per row, so longer rows stay on
+  the core;
+* other consecutive rows of at most ``_AHEAD_TERMS`` terms go
+  ``_PROFILE_CHUNK`` per adaptive loop, zero-padded to the widest (a zero
+  term adds +-0 to a row's sum); each round calls the recurrence once for
+  the panels of every row, gathering each row's weights per panel;
 * a longer row goes alone through ``zonal_abs_power_mean``, which looks
   ahead: the call that evaluates the halves of a failing panel also
   evaluates the panels later rounds will bisect toward its estimated
@@ -35,11 +46,12 @@ the bits and the errors of the row-by-row loop:
   deep growth integrals take a closed-form kernel (``multipliers``).
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from .errors import AccuracyError, DomainError
 from .specfun import _gauss_jacobi, _sph_dim_array
@@ -50,6 +62,10 @@ _MAX_PANELS = 2**15  # live panels of one round before ``_abs_power_mean`` gives
 _AHEAD_PANELS = 48  # panels a lookahead G call fills up to
 _AHEAD_TERMS = 256  # series with more terms than this look ahead
 _PROFILE_CHUNK = 32  # shorter rows integrated in one adaptive loop
+_EXACT_TERMS = 65  # power-1 rows of at most this many terms take the exact route
+_EXACT_CHUNK = 64  # rows of one exact batch; its colleague matrices take up to 2 MB
+_CHOP = 1e-15  # relative size below which trailing Chebyshev coefficients drop
+_ROOT_IMAG = 1e-6  # largest |Im| of a colleague eigenvalue kept as a root
 
 
 def _series_sum(w, lam, t, cols=None):
@@ -307,6 +323,128 @@ def _abs_power_mean(dim, G, deltas, power, rtol, ahead=0):
     return results
 
 
+@functools.cache
+def _chebyshev_rule(N):
+    """The N Chebyshev points x_j = cos(pi (j + 1/2) / N) and the DCT
+    matrix D with c_m = sum_j G(x_j) D[j, m] the coefficients of the
+    degree < N interpolant sum_m c_m T_m; read-only, as they are cached."""
+    theta = math.pi * (np.arange(N) + 0.5) / N
+    dct = (2.0 / N) * np.cos(np.outer(theta, np.arange(N)))
+    dct[:, 0] *= 0.5
+    x = np.cos(theta)
+    x.flags.writeable = dct.flags.writeable = False
+    return x, dct
+
+
+def _sum_columns(a):
+    """Each row's sum of the 2-D ``a``, left to right, so a row's bits do
+    not depend on the rows beside it."""
+    out = np.zeros(a.shape[0])
+    for column in a.T:
+        out += column
+    return out
+
+
+def _exact_abs_means(dim, rows, rtol):
+    """``zonal_abs_power_mean`` at power 1 of each 1-D row of at most
+    ``_EXACT_TERMS`` terms, exact but for rounding: [-1, 1] split at the
+    roots of G, each piece integrated by the Gegenbauer primitive.
+
+    Each row's G is sampled at its own K + 1 Chebyshev points (one
+    recurrence for the batch, zero-padded: a zero term adds +-0), its
+    Chebyshev coefficients taken by the DCT, and trailing ones up to
+    ``_CHOP`` of the largest dropped: below that they are rounding noise,
+    and their sum bounds how far the dropped part moves G, so a root they
+    would add lies where |G| is that small.  The roots are the eigenvalues
+    of the colleague matrix (Boyd, SIAM Rev. 55, 2013) with |Im| at most
+    ``_ROOT_IMAG`` and real part in (-1, 1); a split where G keeps its sign
+    costs nothing.  A row with |w_0| >= sum_k>=1 |w_k| has no sign change
+    to find, since |u_k| <= 1, and skips the DCT and the eigenvalues.  With w_k = a_k d_k, dsigma = c_n (1 - t^2)^(lam - 1/2) dt
+    and the derivative (DLMF 18.9)
+
+        d/dt[(1 - t^2)^(lam + 1/2) C_(k-1)^(lam+1)(t)]
+            = -k (k + 2 lam) / (2 lam) (1 - t^2)^(lam - 1/2) C_k^lam(t),
+
+    the integral of G dsigma over [-1, t] is, at lam = 0 (dim 2) too,
+
+        H(t) = w_0 I_((1+t)/2)(lam + 1/2, lam + 1/2)
+               - c_n (1 - t^2)^(lam + 1/2) / (2 lam + 1) sum_k>=1 w_k v_(k-1)(t)
+
+    with v the index-(lam + 1) Gegenbauer polynomials scaled to v(1) = 1,
+    so the mean is sum_i |H(t_(i+1)) - H(t_i)| over the split points.
+
+    A row's value depends on that row alone: the DCT and the colleague
+    matrices go by groups of equal size and degree, and every sum runs in
+    a fixed order.  A row with non-finite samples or mean raises
+    AccuracyError with its mean as both values (rtol is reported only);
+    the lowest such row raises.
+    """
+    sizes = np.array([row.size for row in rows])
+    n, N = sizes.size, int(sizes.max())
+    lam = (dim - 2) / 2.0
+    w = np.zeros((N, n))
+    for col, row in zip(w.T, rows):
+        col[: row.size] = row
+    w *= _sph_dim_array(dim, N - 1)[:, None]
+    owner = np.repeat(np.arange(n), sizes)
+    x = np.concatenate([_chebyshev_rule(size)[0] for size in sizes.tolist()])
+    g = _series_sum(w, lam, x[None, :], owner)[0]
+    starts = np.cumsum(sizes) - sizes
+    finite = np.logical_and.reduceat(np.isfinite(g), starts)
+    # |u_k| <= 1 on [-1, 1], so G keeps its sign where |w_0| bounds the rest
+    rootless = ~finite | (np.abs(w[0]) >= _sum_columns(np.abs(w[1:].T)))
+    # each row's split points: -1, its roots, then 1 to its group's width
+    plain = np.flatnonzero(rootless)
+    groups = [(plain[:, None], np.tile([-1.0, 1.0], (plain.size, 1)))]
+    for size in np.unique(sizes).tolist():
+        mine = np.flatnonzero((sizes == size) & ~rootless)
+        if mine.size == 0:
+            continue
+        samples = g[starts[mine][:, None] + np.arange(size)]
+        dct = _chebyshev_rule(size)[1]
+        coef = samples[:, :1] * dct[0]
+        for j in range(1, size):
+            coef += samples[:, j : j + 1] * dct[j]
+        size_of = np.abs(coef)
+        big = size_of > _CHOP * size_of.max(axis=1, keepdims=True)
+        degree = np.where(big.any(axis=1), size - 1 - big[:, ::-1].argmax(axis=1), 0)
+        for m in np.unique(degree).tolist():
+            c = coef[degree == m]
+            points = np.ones((c.shape[0], m + 2))
+            points[:, 0] = -1.0
+            if m > 0:
+                # x T_j = (T_(j-1) + T_(j+1)) / 2, x T_0 = T_1, T_m by G = 0
+                colleague = np.zeros((c.shape[0], m, m))
+                j = np.arange(m - 1)
+                colleague[:, j, j + 1] = colleague[:, j + 1, j] = 0.5
+                if m > 1:
+                    colleague[:, 0, 1] = 1.0
+                colleague[:, m - 1, :] -= (1.0 if m == 1 else 0.5) * c[:, :m] / c[:, m : m + 1]
+                z = np.linalg.eigvals(colleague)
+                real = (np.abs(z.imag) <= _ROOT_IMAG) & (np.abs(z.real) < 1.0)
+                points[:, 1:-1] = np.sort(np.where(real, z.real, 1.0), axis=1)
+            groups.append((mine[degree == m][:, None], points))
+    # H at every split point, by one recurrence of index lam + 1
+    t = np.concatenate([points.ravel() for _, points in groups])
+    cols = np.concatenate([np.broadcast_to(i, points.shape).ravel() for i, points in groups])
+    a = lam + 0.5
+    v = _series_sum(w[1:] if N > 1 else np.zeros((1, n)), lam + 1.0, t[None, :], cols)[0]
+    H = w[0, cols] * betainc(a, a, 0.5 * (1.0 + t)) - (
+        sphere_density_constant(dim) / (2.0 * lam + 1.0)
+    ) * ((1.0 - t) * (1.0 + t)) ** a * v
+    out = np.empty(n)
+    start = 0
+    for i, points in groups:
+        h = H[start : start + points.size].reshape(points.shape)
+        out[i[:, 0]] = _sum_columns(np.abs(np.diff(h, axis=1)))
+        start += points.size
+    bad = np.flatnonzero(~(finite & np.isfinite(out)))
+    if bad.size:
+        value = float(out[bad[0]])
+        raise AccuracyError("exact zonal integral met non-finite values", value, value, rtol)
+    return out.tolist()
+
+
 def _means_in_one_loop(dim, rows, power, rtol, ahead):
     """``zonal_abs_power_mean`` of each 1-D row in one adaptive loop, the
     rows zero-padded to the widest; a batch of one looks ahead with
@@ -344,14 +482,24 @@ def _means_in_one_loop(dim, rows, power, rtol, ahead):
     return out
 
 
+def _route(size, power):
+    """How ``_zonal_abs_power_means`` integrates a row of ``size`` terms."""
+    if power == 1 and size <= _EXACT_TERMS:
+        return "exact"
+    return "long" if size > _AHEAD_TERMS else "core"
+
+
 def _zonal_abs_power_means(dim, rows, power, rtol):
     """``zonal_abs_power_mean`` of each 1-D array of zonal coefficients from
     ``rows``, batched as the module docstring sets out."""
     out = []
-    for long, run in itertools.groupby(rows, key=lambda row: row.size > _AHEAD_TERMS):
-        if long:
+    for route, run in itertools.groupby(rows, key=lambda row: _route(row.size, power)):
+        if route == "long":
             # by module global, so a wrapped ``zonal_abs_power_mean`` sees it
             out += [zonal_abs_power_mean(dim, row, power, rtol) for row in run]
+        elif route == "exact":
+            while chunk := list(itertools.islice(run, _EXACT_CHUNK)):
+                out += _exact_abs_means(dim, chunk, rtol)
         else:
             while chunk := list(itertools.islice(run, _PROFILE_CHUNK)):
                 out += _means_in_one_loop(dim, chunk, power, rtol, 0)
@@ -359,9 +507,12 @@ def _zonal_abs_power_means(dim, rows, power, rtol):
 
 
 def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8):
-    """Normalized surface integral of |G|^power for a zonal series G, with
-    the mesh graded toward the pole at the scale of the coefficient decay;
-    a series of more than ``_AHEAD_TERMS`` terms looks ahead."""
+    """Normalized surface integral of |G|^power for a zonal series G: exact
+    at power 1 for at most ``_EXACT_TERMS`` terms, else adaptive, with the
+    mesh graded toward the pole at the scale of the coefficient decay; a
+    series of more than ``_AHEAD_TERMS`` terms looks ahead."""
     zcoeffs = np.ascontiguousarray(zcoeffs, dtype=float)
+    if _route(zcoeffs.size, power) == "exact":
+        return _exact_abs_means(dim, [zcoeffs], rtol)[0]
     ahead = _AHEAD_PANELS if zcoeffs.size > _AHEAD_TERMS else 0
     return _means_in_one_loop(dim, [zcoeffs], power, rtol, ahead)[0]

@@ -209,17 +209,19 @@ def test_series_route_past_the_degree_cap_refuses():
 
 # float.hex of I(s) at rtol 1e-7 as computed radius by radius before the
 # growth curve batched its radii, at ten short radii below the ladder and
-# the ladder depths up to jmax: (n, m, family, jmax) -> bits.  ``ones`` and
+# the ladder depths up to jmax: (n, m, family, jmax) -> bits; series of at
+# most 65 terms take the exact q = 1 route, within 2.6e-15 of mpmath where
+# the adaptive core was up to 1.2e-8 off.  ``ones`` and
 # ``powerlaw:0.5`` at m = 2 take the closed route past their short series,
 # ``powerlaw:0.75`` at m = 1.5 and ``finite:300`` sum series of more than
 # _AHEAD_TERMS terms with lookahead
 _PINNED_GROWTH_BITS = {
     (3, 2.0, 'ones', 14): [
-        '0x1.a3fffffffffffp+2', '0x1.a3fffffffffffp+2', '0x1.a400000000000p+2',
-        '0x1.a400000000001p+2', '0x1.a400000000001p+2', '0x1.a400000000001p+2',
-        '0x1.a400000000000p+2', '0x1.a400000000001p+2', '0x1.a400000000000p+2',
-        '0x1.a400000000001p+2', '0x1.a400000000001p+2', '0x1.c9796f72a2f06p+2',
-        '0x1.4fb827a5fa9ecp+3', '0x1.0bd58d9f905dep+4', '0x1.b0d0fceb1c601p+4',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.c9796f63e3842p+2',
+        '0x1.4fb827a415a38p+3', '0x1.0bd58dc7bbd54p+4', '0x1.b0d0fcdda8420p+4',
         '0x1.5d89af77797e6p+5', '0x1.1a0389af816e1p+6', '0x1.c770ccd0f048dp+6',
         '0x1.2b6598df3ea1fp+8', '0x1.8f86439c60e83p+9', '0x1.0e7a40b7ea66ap+11',
         '0x1.73f21c59da797p+12', '0x1.02eef0263152dp+14', '0x1.6a85876ea2c36p+15',
@@ -231,11 +233,11 @@ _PINNED_GROWTH_BITS = {
         '0x1.6280df61f5d94p+39', '0x1.f554c28ff85ecp+40', '0x1.627d07bac0d63p+42',
     ],
     (5, 2.0, 'ones', 14): [
-        '0x1.3afffffffffffp+4', '0x1.3b00000000001p+4', '0x1.3b00000000003p+4',
-        '0x1.3b00000000002p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
-        '0x1.3b00000000000p+4', '0x1.3b00000000000p+4', '0x1.3b00000000001p+4',
-        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b3c620bab7a1p+4',
-        '0x1.657a4dd384bc5p+4', '0x1.ec089d66fdbd2p+4', '0x1.71e15d3c27d50p+5',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b3c624991fbbp+4',
+        '0x1.657a4df4c3089p+4', '0x1.ec089d644603dp+4', '0x1.71e15d3c27d50p+5',
         '0x1.1ee40043bd31dp+6', '0x1.c22b3e1cfab43p+6', '0x1.634f44ae8d1e3p+7',
         '0x1.c19e081949718p+8', '0x1.22d882203d2b7p+10', '0x1.806d2f9c74870p+11',
         '0x1.03de169215f6dp+13', '0x1.653bfb5a19ae2p+14', '0x1.ef9fd39965767p+15',
@@ -247,11 +249,11 @@ _PINNED_GROWTH_BITS = {
         '0x1.da30bf81c80c2p+39', '0x1.4f495a6353ed9p+41', '0x1.da2668f74f99fp+42',
     ],
     (3, 2.0, 'powerlaw:0.5', 14): [
-        '0x1.a400000000000p+2', '0x1.a400000000000p+2', '0x1.a3fffffffffffp+2',
-        '0x1.a400000000000p+2', '0x1.a400000000001p+2', '0x1.a400000000001p+2',
-        '0x1.a400000000000p+2', '0x1.a400000000000p+2', '0x1.a400000000001p+2',
-        '0x1.a400000000001p+2', '0x1.a400000000000p+2', '0x1.a400000000002p+2',
-        '0x1.a94ab8f1521a9p+2', '0x1.086b89540f3ffp+3', '0x1.731ba72f8e265p+3',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a94ab8e8a34a4p+2', '0x1.086b8941c4866p+3', '0x1.731ba71ef20e1p+3',
         '0x1.0edb7f8cdfdfep+4', '0x1.9016e7589f285p+4', '0x1.288a1fbd37ec8p+5',
         '0x1.477c477a394d9p+6', '0x1.6cfd5d8fe4af7p+7', '0x1.9baaf6c969285p+8',
         '0x1.d5e71cacb36a6p+9', '0x1.0efa3cd24219ap+11', '0x1.3b1ce40196ccfp+12',
@@ -263,11 +265,11 @@ _PINNED_GROWTH_BITS = {
         '0x1.2c7d169ec1c92p+32', '0x1.6553cb24b93e5p+33', '0x1.a8ec3e5cd1378p+34',
     ],
     (5, 2.0, 'powerlaw:0.5', 14): [
-        '0x1.3afffffffffffp+4', '0x1.3b00000000000p+4', '0x1.3b00000000001p+4',
-        '0x1.3b00000000003p+4', '0x1.3b00000000002p+4', '0x1.3b00000000000p+4',
-        '0x1.3b00000000000p+4', '0x1.3b00000000000p+4', '0x1.3b00000000000p+4',
-        '0x1.3b00000000001p+4', '0x1.3b00000000000p+4', '0x1.3b00000000001p+4',
-        '0x1.3b00000000001p+4', '0x1.3b00000000002p+4', '0x1.3f0a6e3bbf650p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3f0a6e3bbf650p+4',
         '0x1.964636137236ep+4', '0x1.1f5645574ce86p+5', '0x1.a3d2eea9727cep+5',
         '0x1.ca6327983e7f5p+6', '0x1.f8bb466d2dee5p+7', '0x1.18a175eca6e25p+9',
         '0x1.3bfd116f07d59p+10', '0x1.683d8494377cep+11', '0x1.9f18c84f95d95p+12',
@@ -279,11 +281,11 @@ _PINNED_GROWTH_BITS = {
         '0x1.825c25546d145p+32', '0x1.cb6dc66509b92p+33', '0x1.1129ff5943d89p+35',
     ],
     (3, 1.5, 'powerlaw:0.75', 8): [
-        '0x1.45f306dc9c880p+2', '0x1.45f306dc9c880p+2', '0x1.45f306dc9c880p+2',
-        '0x1.45f306dc9c880p+2', '0x1.45f306dc9c881p+2', '0x1.45f306dc9c881p+2',
-        '0x1.45f306dc9c881p+2', '0x1.45f306dc9c881p+2', '0x1.45f306dc9c880p+2',
-        '0x1.45f306dc9c881p+2', '0x1.45f306dc9c880p+2', '0x1.45f306dc9c881p+2',
-        '0x1.45f306dc9c881p+2', '0x1.45f306dc9c883p+2', '0x1.45f306dc9c883p+2',
+        '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2',
+        '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2',
+        '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2',
+        '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2',
+        '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2',
         '0x1.7a82a2fa0a8d5p+2', '0x1.e08a3571209cap+2', '0x1.3b83747a47ee2p+3',
         '0x1.18b379dd3bb59p+4', '0x1.f71ba3ed5b485p+4', '0x1.c2c0052f49408p+5',
         '0x1.9430a22eabb5ep+6', '0x1.6b54a6cee1dc2p+7', '0x1.47a8d398573f3p+8',
@@ -303,6 +305,7 @@ _PINNED_GROWTH_BITS = {
         '0x1.0cc4617a3ffa2p+25', '0x1.0a3d9888db93fp+26', '0x1.afa20f5c9719bp+26',
     ],
 }
+
 
 
 @pytest.mark.skipif(
@@ -656,19 +659,25 @@ def test_growth_curve_fill_raises_as_the_per_radius_loop():
 
 
 def test_growth_curve_fill_takes_at_most_a_chunk_per_loop(monkeypatch):
-    rows = []
-    real = _zonalseries._means_in_one_loop
+    # the exact route's batch size is lowered so the radii below the ladder
+    # fill more than one batch
+    batches = []
+    for name in ("_means_in_one_loop", "_exact_abs_means"):
+        real = getattr(_zonalseries, name)
 
-    def counted(dim, batch, power, rtol, ahead):
-        rows.append(len(batch))
-        return real(dim, batch, power, rtol, ahead)
+        def counted(dim, batch, *args, real=real, name=name):
+            batches.append((name, len(batch)))
+            return real(dim, batch, *args)
 
-    monkeypatch.setattr(_zonalseries, "_means_in_one_loop", counted)
+        monkeypatch.setattr(_zonalseries, name, counted)
+    monkeypatch.setattr(_zonalseries, "_EXACT_CHUNK", 16)
     curve = multipliers._GrowthCurve(3, 2.0, multiplier_family("ones"), 1e-7)
     curve.at(_fill_radii(8), 8)
     # the short ladder nodes, then the radii below the ladder in chunks
-    assert max(rows) == _PROFILE_CHUNK
-    assert len(rows) >= 3
+    limit = {"_means_in_one_loop": _PROFILE_CHUNK, "_exact_abs_means": 16}
+    assert all(size <= limit[name] for name, size in batches)
+    assert ("_exact_abs_means", 16) in batches
+    assert len(batches) >= 3
 
 
 def test_sequence_family_padding_is_zero():

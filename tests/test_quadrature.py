@@ -290,7 +290,9 @@ def test_zonal_profile_raises_as_the_per_radius_loop(dim, coeffs, q):
 @pytest.mark.parametrize("K", [8, 256])
 def test_zonal_profile_makes_one_core_call_per_chunk(monkeypatch, K):
     # a short series takes its radii in chunks of _PROFILE_CHUNK, a long one
-    # (257 terms) one at a time with lookahead
+    # (257 terms) one at a time with lookahead; at q = 1 the short one would
+    # take the exact route instead, so it runs at q = 2
+    q = 2.0 if K < 256 else 1.0
     seen = []
 
     def counted(dim, G, deltas, power, rtol, ahead=0):
@@ -301,9 +303,9 @@ def test_zonal_profile_makes_one_core_call_per_chunk(monkeypatch, K):
     monkeypatch.setattr(_zonalseries, "_abs_power_mean", counted)
     coeffs = 0.9 ** np.arange(K + 1.0)
     radii = np.concatenate([[0.0], _RULE_RADII])
-    expected = _per_radius_profile(3, coeffs, 1.0, radii)
+    expected = _per_radius_profile(3, coeffs, q, radii)
     seen.clear()
-    assert _zonal_power_profile(3, coeffs, 1.0, radii).tolist() == expected.tolist()
+    assert _zonal_power_profile(3, coeffs, q, radii).tolist() == expected.tolist()
     step = _zonalseries._PROFILE_CHUNK if K < 256 else 1
     assert seen == [
         (min(step, radii.size - start), _zonalseries._AHEAD_PANELS if K == 256 else 0)

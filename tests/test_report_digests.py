@@ -49,14 +49,14 @@ CASES = {
     # the ``ones`` curve takes the closed-form kernel from j = 3 on
     "mult-check-ones": (["mult-check", "--alpha", "0.5", "--beta", "0.25",
                          "--multiplier", "ones", "--rho-levels", "6"], 0,
-                        "7be1c93bff5491481c0fb4a76c0c815136ede72b3a1bf48cf2a013c3a9730f2a"),
+                        "c8ce9aa81b341adf0a6816e9c65aa3ec80352a4139ad073f46e6b7197562945a"),
     # numerator and denominator growth curves differ
     "mult-check-powerlaw": (MULT_CHECK + ["--multiplier", "powerlaw:0.5"], 0,
-                            "8a87f0a0c334a0d539073ed03f1a15b2af3cbc47a0d4c054095ef9adb5854306"),
+                            "ac1d5a25176669f4fabb30b17af0b0940fde2766408503f59dedbeadbc4c9b7c"),
     # a multiplier file: the curve is keyed by the coefficient values; the
     # probe's denominator is the ``ones`` curve, so its ratios move with it
     "mult-check-file": (MULT_CHECK + ["--multiplier", "zm.json"], 0,
-                        "5b7d94b39c2741f58f32ef89ae90aa75d782cba524cbcf5e7033bc606e1048aa"),
+                        "2161b37cf6e433d95606a65d2513283e68cd78b1c2002e160dfc282889bd306e"),
     # the pointwise kernel is the closed growth kernel at integer beta
     "lemma-1": (["lemma", "--id", "1"], 0,
                 "48672391370679446b39af8f4d29eb3c7f8eb4b3611bf6a6bd2e43e3d89b9db9"),
@@ -110,4 +110,4 @@ def test_random_polynomial_probe_ratios_pinned():
     rep = probe_operator_norm("powerlaw:0.25", params, family="random_polynomials",
                               sizes=[2, 4], seed=11)
     assert [float(v).hex() for v in rep.norm_ratios] == [
-        "0x1.0000000000000p+0", "0x1.a93fff458bb99p-1"]
+        "0x1.0000000000000p+0", "0x1.a93fff3ed46c8p-1"]

@@ -11,6 +11,8 @@ from ballharm._zonalseries import (
     _AHEAD_PANELS,
     _PROFILE_CHUNK,
     _abs_power_mean,
+    _exact_abs_means,
+    _means_in_one_loop,
     _series_sum,
     _zonal_abs_power_means,
     zonal_abs_power_mean,
@@ -99,8 +101,12 @@ def test_abs_power_mean_bits_pinned():
         (2, 0.99 ** np.arange(900.0), 1.0, "0x1.ffffffffffef0p-1"),
         (5, rng.standard_normal(64) * 0.95 ** np.arange(64.0), 1.0, "0x1.4b2c0573e2242p+6"),
     ]
-    for n, coeffs, power, bits in cases:
+    for n, coeffs, power, bits in cases[:-1]:
         assert float(zonal_abs_power_mean(n, coeffs, power, rtol=1e-9)).hex() == bits
+    # a q = 1 row of 64 terms takes the exact route, so the core is called
+    # directly to keep its bits pinned
+    n, coeffs, power, bits = cases[-1]
+    assert float(_means_in_one_loop(n, [coeffs], power, 1e-9, 0)[0]).hex() == bits
     # the j = 8 growth series of ``ones`` (n = 3, m = 2), K = 12,569, which
     # ``_growth_integrals`` integrates by the closed-form kernel instead
     value = zonal_abs_power_mean(3, _growth_series(3, 2.0, 8), 1.0, rtol=1e-7)
@@ -337,3 +343,115 @@ def test_ragged_rows_raise_the_error_of_the_lowest_failing_row():
     expected = _refusal(zonal_abs_power_mean, 3, overflow, 2.0, 1e-9)
     assert expected != _refusal(zonal_abs_power_mean, 3, nan, 2.0, 1e-9)
     assert _refusal(_zonal_abs_power_means, 3, rows, 2.0, 1e-9) == expected
+
+
+# the exact route: q = 1 rows of at most _EXACT_TERMS terms
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="bit patterns were taken with numpy 2.4.6 and scipy 1.17.1",
+)
+def test_exact_route_bits_pinned():
+    # the dim-5, 64-term row of test_abs_power_mean_bits_pinned; a 30-digit
+    # mpmath value is 82.7929895537257 (tests/test_mean_reference.py's
+    # method), which the core's 0x1.4b2c0573e2242p+6 misses by 4.2e-11
+    rng = np.random.default_rng(2024)
+    for size in (9, 12, 33):
+        rng.standard_normal(size)
+    coeffs = rng.standard_normal(64) * 0.95 ** np.arange(64.0)
+    assert float(zonal_abs_power_mean(5, coeffs, 1.0, rtol=1e-9)).hex() == "0x1.4b2c05741d492p+6"
+
+
+def _from_weights(n, w):
+    """The zonal coefficients of G = sum_k w[k] u_k."""
+    w = np.asarray(w, dtype=float)
+    return w / _sph_dim_array(n, w.size - 1)
+
+
+def _square(n, t0):
+    # (t - t0)^2 in the u_k basis: u_2 = a t^2 - b by the recurrence
+    lam = (n - 2) / 2.0
+    a, b = 2.0 * (1.0 + lam) / (1.0 + 2.0 * lam), 1.0 / (1.0 + 2.0 * lam)
+    return _from_weights(n, [t0 * t0 + b / a, -2.0 * t0, 1.0 / a])
+
+
+def _edge_cases():
+    # (name, n, zonal coefficients, exact mean of |G|); under the normalized
+    # measure E[t] = 0 and E[t^2] = 1/n, and t is uniform on [-1, 1] at n = 3
+    for n in (2, 3, 4, 5):
+        lam = (n - 2) / 2.0
+        a, b = 2.0 * (1.0 + lam) / (1.0 + 2.0 * lam), 1.0 / (1.0 + 2.0 * lam)
+        yield f"K=0 n={n}", n, np.array([-1.25]), 1.25
+        yield f"all-zero n={n}", n, np.zeros(7), 0.0
+        yield f"double root n={n}", n, _square(n, 0.3), 1.0 / n + 0.09
+        yield f"double root at the pole n={n}", n, _square(n, 1.0), 1.0 / n + 1.0
+        yield f"root at t = 1 n={n}", n, _from_weights(n, [1.0, -1.0]), 1.0
+        yield f"root at t = -1 n={n}", n, _from_weights(n, [1.0, 1.0]), 1.0
+        yield f"roots at t = +-1 n={n}", n, _from_weights(n, [b / a - 1.0, 0.0, 1.0 / a]), 1.0 - 1.0 / n
+    # n = 3: (t - 1)(t + 1/2) changes sign at -1/2 and meets 0 at t = 1,
+    # E|.| = 19/48; so does its mirror image
+    yield "root at t = 1 and inside", 3, _from_weights(3, [1.0 / 3.0 - 0.5, -0.5, 2.0 / 3.0]), 19.0 / 48.0
+    yield "root at t = -1 and inside", 3, _from_weights(3, [1.0 / 3.0 - 0.5, 0.5, 2.0 / 3.0]), 19.0 / 48.0
+    # n = 3: E|p + q t| = |p| if |p| >= |q|, else (p^2 + q^2) / (2 |q|)
+    yield "K=1, a root", 3, np.array([1.0, 1.0]), 10.0 / 6.0
+    yield "K=1, no root", 3, np.array([2.0, 0.5]), 2.0
+    yield "w_0 = 0", 3, np.array([0.0, 1.0]), 1.5
+    yield "leading 1e-300", 3, np.array([1.0, 0.5, 1e-300]), 3.25 / 3.0
+    yield "leading 1e-300 alone", 3, np.array([0.0, 0.0, 1e-300]), 1e-300 * 5.0 * 2.0 / (3.0 * 3.0**0.5)
+    # n = 2 (lam = 0): G = 2 cos(theta) and G = 2 cos(2 theta) have mean 4/pi
+    yield "n=2 degree 1", 2, np.array([0.0, 1.0]), 4.0 / math.pi
+    yield "n=2 degree 2", 2, np.array([0.0, 0.0, 1.0]), 4.0 / math.pi
+
+
+@pytest.mark.parametrize(
+    "n,coeffs,exact", [pytest.param(n, coeffs, exact, id=name) for name, n, coeffs, exact in _edge_cases()]
+)
+def test_exact_route_edge_cases(n, coeffs, exact):
+    value = zonal_abs_power_mean(n, coeffs, 1.0)
+    assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert _exact_abs_means(n, [coeffs], 1e-8) == [value]
+
+
+def test_short_q1_rows_never_reach_the_core(monkeypatch):
+    rng = np.random.default_rng(5)
+    rows = [rng.standard_normal(size) for size in range(1, _zonalseries._EXACT_TERMS + 1)]
+
+    def core(*args, **kwargs):
+        raise AssertionError("the adaptive core was called")
+
+    monkeypatch.setattr(_zonalseries, "_abs_power_mean", core)
+    for n in (2, 3, 5):
+        _zonal_abs_power_means(n, rows, 1.0, 1e-8)
+        with pytest.raises(AssertionError, match="core"):
+            zonal_abs_power_mean(n, rng.standard_normal(_zonalseries._EXACT_TERMS + 1), 1.0)
+        with pytest.raises(AssertionError, match="core"):
+            zonal_abs_power_mean(n, rows[3], 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exact_batch_values_equal_batches_of_one(n):
+    # ragged sizes, radii down to 1e-3 (chopped degrees), an all-zero row,
+    # w_0 = 0, and more rows than one exact batch takes
+    rng = np.random.default_rng(100 + n)
+    rows = []
+    for _ in range(_zonalseries._EXACT_CHUNK + 40):
+        size = int(rng.integers(1, _zonalseries._EXACT_TERMS + 1))
+        r = float(rng.choice([1e-3, 0.1, 0.5, 0.9, 0.99]))
+        rows.append(rng.standard_normal(size) * r ** np.arange(size, dtype=float))
+    rows[7], rows[8][0] = np.zeros(12), 0.0
+    alone = [float(zonal_abs_power_mean(n, row, 1.0)).hex() for row in rows]
+    assert [float(v).hex() for v in _zonal_abs_power_means(n, rows, 1.0, 1e-8)] == alone
+
+
+def test_exact_route_raises_for_the_lowest_non_finite_row():
+    # ``overflow`` has finite weights but overflows at its Chebyshev points,
+    # ``nan`` has a NaN weight: the batch raises what ``overflow`` raises
+    overflow = np.array([1e308, 2e307, 2e307])
+    nan = np.array([1.0, np.nan])
+    rows = [np.ones(3), np.array([0.5, -1.0]), overflow, np.ones(9), nan, overflow]
+    expected = _refusal(zonal_abs_power_mean, 3, overflow, 1.0, 1e-9)
+    assert "non-finite" in expected[0]
+    assert expected != _refusal(zonal_abs_power_mean, 3, nan, 1.0, 1e-9)
+    assert _refusal(_zonal_abs_power_means, 3, rows, 1.0, 1e-9) == expected
+    assert _refusal(_zonal_abs_power_means, 3, rows[3:], 1.0, 1e-9) != expected
