@@ -359,8 +359,10 @@ def _exact_abs_means(dim, rows, rtol):
     of the colleague matrix (Boyd, SIAM Rev. 55, 2013) with |Im| at most
     ``_ROOT_IMAG`` and real part in (-1, 1); a split where G keeps its sign
     costs nothing.  A row with |w_0| >= sum_k>=1 |w_k| has no sign change
-    to find, since |u_k| <= 1, and skips the DCT and the eigenvalues.  With w_k = a_k d_k, dsigma = c_n (1 - t^2)^(lam - 1/2) dt
-    and the derivative (DLMF 18.9)
+    to find, since |u_k| <= 1, and skips the DCT and the eigenvalues.
+
+    With w_k = a_k d_k, dsigma = c_n (1 - t^2)^(lam - 1/2) dt and the
+    derivative (DLMF 18.9)
 
         d/dt[(1 - t^2)^(lam + 1/2) C_(k-1)^(lam+1)(t)]
             = -k (k + 2 lam) / (2 lam) (1 - t^2)^(lam - 1/2) C_k^lam(t),
