@@ -378,8 +378,8 @@ def _exact_abs_means(dim, rows, rtol):
     A row's value depends on that row alone: the DCT and the colleague
     matrices go by groups of equal size and degree, and every sum runs in
     a fixed order.  A row with non-finite samples or mean raises
-    AccuracyError with its mean as both values (rtol is reported only);
-    the lowest such row raises.
+    AccuracyError with its first non-finite sample, or else its mean, as
+    both values (rtol is reported only); the lowest such row raises.
     """
     sizes = np.array([row.size for row in rows])
     n, N = sizes.size, int(sizes.max())
@@ -442,7 +442,10 @@ def _exact_abs_means(dim, rows, rtol):
         start += points.size
     bad = np.flatnonzero(~(finite & np.isfinite(out)))
     if bad.size:
-        value = float(out[bad[0]])
+        i = bad[0]
+        # a row with non-finite samples skipped its roots: report a sample
+        samples = g[starts[i] : starts[i] + sizes[i]]
+        value = float(out[i] if finite[i] else samples[~np.isfinite(samples)][0])
         raise AccuracyError("exact zonal integral met non-finite values", value, value, rtol)
     return out.tolist()
 

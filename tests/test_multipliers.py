@@ -307,7 +307,6 @@ _PINNED_GROWTH_BITS = {
 }
 
 
-
 @pytest.mark.skipif(
     (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
     reason="bit patterns were taken with numpy 2.4.6 and scipy 1.17.1",

@@ -452,6 +452,7 @@ def test_exact_route_raises_for_the_lowest_non_finite_row():
     rows = [np.ones(3), np.array([0.5, -1.0]), overflow, np.ones(9), nan, overflow]
     expected = _refusal(zonal_abs_power_mean, 3, overflow, 1.0, 1e-9)
     assert "non-finite" in expected[0]
+    assert not np.isfinite([float(expected[1]), float(expected[2])]).any()
     assert expected != _refusal(zonal_abs_power_mean, 3, nan, 1.0, 1e-9)
     assert _refusal(_zonal_abs_power_means, 3, rows, 1.0, 1e-9) == expected
     assert _refusal(_zonal_abs_power_means, 3, rows[3:], 1.0, 1e-9) != expected
