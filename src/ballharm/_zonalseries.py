@@ -7,10 +7,11 @@ to u_k(1) = 1 keeps every recurrence intermediate in [-1, 1], so series
 with tens of thousands of terms evaluate stably.
 
 The other primitive here is the normalized surface integral of |G|^q.
-At q = 1 a short series has an exact route, ``_exact_abs_means``: split
-[-1, 1] at the roots of G, found as colleague-matrix eigenvalues, and
-integrate each piece by the Gegenbauer primitive.  Every other integral
-takes the adaptive core.  Kernel-type integrands (Poisson and its
+At q = 1 a series of up to 512 terms has an exact route,
+``_exact_abs_means``: split [-1, 1] at the roots of G, found as
+colleague-matrix eigenvalues, whole or piece by piece, and integrate
+between them by the Gegenbauer primitive.  Every other integral takes the
+adaptive core.  Kernel-type integrands (Poisson and its
 fractional derivatives) concentrate in a peak of angular width ~(1 - s)
 at theta = 0 with an algebraically decaying, finitely-oscillating tail,
 so a geometrically graded panel mesh refined toward theta = 0 plus
@@ -27,12 +28,13 @@ of a mean profile, the series-route radii of a growth curve) and keeps
 the bits and the errors of the row-by-row loop.  Each row takes one of
 three routes (``_route``):
 
-* at q = 1, consecutive rows of at most ``_EXACT_TERMS`` = 65 terms
-  (degree 64) go ``_EXACT_CHUNK`` per call to the exact route.  The 16/32
-  acceptance test of the core can pass at a kink of |G| while both values
-  are wrong (1.9e-7 off at K = 64, rtol 1e-10); this route has no kinks to
-  miss.  Its root finding costs O(K^3) per row, so longer rows stay on
-  the core;
+* at q = 1, consecutive rows of at most ``_EXACT_TERMS`` = 512 terms go
+  ``_EXACT_CHUNK`` per call to the exact route.  The 16/32 acceptance test
+  of the core can pass at a kink of |G| while both values are wrong
+  (1.9e-7 off at K = 64, rtol 1e-10); this route has no kinks to miss.  A
+  row of at most 65 terms finds its roots whole, at O(K^3); a longer one
+  in pieces of degree ``_PIECE_DEGREE``, at O(K^2).  Longer rows stay on
+  the core: at dim 2, a lone growth row of 577 terms was faster there;
 * other consecutive rows of at most ``_AHEAD_TERMS`` terms go
   ``_PROFILE_CHUNK`` per adaptive loop, zero-padded to the widest (a zero
   term adds +-0 to a row's sum); each round calls the recurrence once for
@@ -41,9 +43,10 @@ three routes (``_route``):
   ahead: the call that evaluates the halves of a failing panel also
   evaluates the panels later rounds will bisect toward its estimated
   zero, so a deep integral calls the recurrence about twice instead of
-  once per round (8-10).  Such rows are ``finite:K`` multipliers, user
-  sequences and growth series at fractional order; the named families'
-  deep growth integrals take a closed-form kernel (``multipliers``).
+  once per round (8-10).  At q = 1 only rows of over 512 terms come here:
+  ``finite:K`` multipliers, user sequences and growth series at fractional
+  order; the named families' deep growth integrals take a closed-form
+  kernel (``multipliers``).
 """
 
 import functools
@@ -62,8 +65,9 @@ _MAX_PANELS = 2**15  # live panels of one round before ``_abs_power_mean`` gives
 _AHEAD_PANELS = 48  # panels a lookahead G call fills up to
 _AHEAD_TERMS = 256  # series with more terms than this look ahead
 _PROFILE_CHUNK = 32  # shorter rows integrated in one adaptive loop
-_EXACT_TERMS = 65  # power-1 rows of at most this many terms take the exact route
-_EXACT_CHUNK = 64  # rows of one exact batch; its colleague matrices take up to 2 MB
+_EXACT_TERMS = 512  # power-1 rows of at most this many terms take the exact route
+_PIECE_DEGREE = 32  # degree of a longer exact row's pieces; 2x + 1 terms go whole
+_EXACT_CHUNK = 64  # rows of one exact batch
 _CHOP = 1e-15  # relative size below which trailing Chebyshev coefficients drop
 _ROOT_IMAG = 1e-6  # largest |Im| of a colleague eigenvalue kept as a root
 
@@ -73,10 +77,12 @@ def _series_sum(w, lam, t, cols=None):
     scaled to u_k(1) = 1 (Chebyshev T_k for lam = 0).  With ``cols``, w
     holds one series per column and column j of t sums the series in
     column cols[j] of w; each term's weights are gathered into one reused
-    row."""
+    row, unless w holds a single series."""
     K = w.shape[0] - 1
     if cols is None:
         weight = w.__getitem__
+    elif w.shape[1] == 1:
+        weight = w[:, 0].__getitem__
     else:
         row = np.empty((1, len(cols)))
         weight = lambda k: np.take(w[k], cols, out=row[0], mode="clip")[None, :]
@@ -345,24 +351,151 @@ def _sum_columns(a):
     return out
 
 
+def _chebyshev_coefficients(samples):
+    """The Chebyshev coefficients of each row of ``samples``, taken at the
+    Chebyshev points of the row's size by a DCT in a fixed order."""
+    dct = _chebyshev_rule(samples.shape[1])[1]
+    coef = samples[:, :1] * dct[0]
+    for j in range(1, samples.shape[1]):
+        coef += samples[:, j : j + 1] * dct[j]
+    return coef
+
+
+def _colleague_roots(coef, floor):
+    """The roots x in [-1, 1] of each row's sum_m coef[m] T_m(x), as the
+    arrays (row index, x): trailing coefficients up to ``_CHOP`` of the
+    row's largest or up to its ``floor`` dropped, then the eigenvalues of
+    the colleague matrices, stacked by chopped degree up to 2 MB a stack,
+    with |Im| at most ``_ROOT_IMAG`` and |Re| at most 1 + ``_ROOT_IMAG``,
+    clipped to [-1, 1]: a root at the end of a piece is kept by one piece
+    or both."""
+    size_of = np.abs(coef)
+    big = size_of > np.maximum(_CHOP * size_of.max(axis=1, keepdims=True), floor[:, None])
+    degree = np.where(big.any(axis=1), coef.shape[1] - 1 - big[:, ::-1].argmax(axis=1), 0)
+    which, roots = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for m in np.unique(degree[degree > 0]).tolist():
+        of_degree = np.flatnonzero(degree == m)
+        # stacks of at most 2 MB
+        step = max(2**18 // (m * m), 1)
+        for start in range(0, of_degree.size, step):
+            mine = of_degree[start : start + step]
+            c = coef[mine]
+            # x T_j = (T_(j-1) + T_(j+1)) / 2, x T_0 = T_1, T_m by G = 0
+            colleague = np.zeros((mine.size, m, m))
+            j = np.arange(m - 1)
+            colleague[:, j, j + 1] = colleague[:, j + 1, j] = 0.5
+            if m > 1:
+                colleague[:, 0, 1] = 1.0
+            colleague[:, m - 1, :] -= (1.0 if m == 1 else 0.5) * c[:, :m] / c[:, m : m + 1]
+            z = np.linalg.eigvals(colleague)
+            real = (np.abs(z.imag) <= _ROOT_IMAG) & (np.abs(z.real) <= 1.0 + _ROOT_IMAG)
+            which.append(np.broadcast_to(mine[:, None], z.shape)[real])
+            roots.append(np.clip(z.real[real], -1.0, 1.0))
+    return np.concatenate(which), np.concatenate(roots)
+
+
+def _whole_roots(w, lam, rows, sizes, search, bad):
+    """The roots of G for each row index i in ``rows`` (column i of the
+    weights ``w``, of ``sizes[i]`` terms) where ``search[i]``, as the
+    arrays (row index, t): each row sampled whole at its own K + 1
+    Chebyshev points, one recurrence for them all.  A row with a
+    non-finite sample goes into the dict ``bad`` with the first one."""
+    x = np.concatenate([_chebyshev_rule(size)[0] for size in sizes[rows].tolist()])
+    g = _series_sum(w[: sizes[rows].max()], lam, x[None, :], np.repeat(rows, sizes[rows]))[0]
+    starts = np.cumsum(sizes[rows]) - sizes[rows]
+    finite = np.logical_and.reduceat(np.isfinite(g), starts)
+    for i, begin in zip(rows[~finite].tolist(), starts[~finite].tolist()):
+        samples = g[begin : begin + sizes[i]]
+        bad[i] = samples[~np.isfinite(samples)][0]
+    which, roots = [], []
+    for size in np.unique(sizes[rows]).tolist():
+        mine = np.flatnonzero((sizes[rows] == size) & finite & search[rows])
+        samples = g[starts[mine][:, None] + np.arange(size)]
+        i, x = _colleague_roots(_chebyshev_coefficients(samples), np.zeros(mine.size))
+        which.append(rows[mine][i])
+        roots.append(x)
+    return which, roots
+
+
+def _piece_roots(w, lam, rows, sizes, floor, bad):
+    """The roots of G for each row index i in ``rows`` (column i of the
+    weights ``w``, of ``sizes[i]`` terms and noise ``floor[i]``), found
+    piece by piece, as the arrays (row index, t).  A row with a non-finite
+    sample goes into the dict ``bad`` with the first one, and drops out.
+
+    A row of degree K starts as about K/16 pieces uniform in theta.  Each
+    round samples every piece of every row at ``_PIECE_DEGREE`` + 1
+    Chebyshev points of its t-interval by one recurrence, and takes the
+    pieces' Chebyshev coefficients c_m.  A piece whose |c_0| exceeds the
+    sum of the other |c_m|, with the trailing four counted twice for the
+    degrees its points cannot see, keeps its sign.  A piece whose four
+    trailing |c_m| are at most its row's floor goes to the colleague
+    matrices; any other is bisected in theta for the next round.  Four
+    bisections leave a piece about pi/K wide, where G is resolved far below
+    rounding, so a piece still over the floor then is noise and goes to
+    the colleague matrices as it is.
+    """
+    x_piece = _chebyshev_rule(_PIECE_DEGREE + 1)[0]
+    count = (sizes[rows] + 14) // 16
+    owner = np.repeat(rows, count)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    width = np.repeat(math.pi / count, count)
+    lo, hi = j * width, (j + 1) * width
+    which, roots = [], []
+    for depth in range(5):
+        t_hi, t_lo = np.cos(lo), np.cos(hi)
+        mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
+        x = mid[:, None] + half[:, None] * x_piece
+        g = _series_sum(w, lam, x.reshape(1, -1), np.repeat(owner, x_piece.size))[0].reshape(x.shape)
+        finite = np.isfinite(g).all(axis=1)
+        if not finite.all():
+            for i in np.unique(owner[~finite]).tolist():
+                samples = g[owner == i]
+                bad[i] = samples[~np.isfinite(samples)][0]
+            keep = ~np.isin(owner, owner[~finite])
+            lo, hi, owner, mid, half, g = lo[keep], hi[keep], owner[keep], mid[keep], half[keep], g[keep]
+        coef = _chebyshev_coefficients(g)
+        size_of = np.abs(coef)
+        trailing = size_of[:, -4:]
+        rootless = size_of[:, 0] > _sum_columns(size_of[:, 1:]) + _sum_columns(trailing)
+        resolved = (trailing.max(axis=1) <= floor[owner]) | (depth == 4)
+        take = np.flatnonzero(~rootless & resolved)
+        i, x = _colleague_roots(coef[take], floor[owner[take]])
+        which.append(owner[take][i])
+        roots.append(mid[take][i] + half[take][i] * x)
+        split = ~rootless & ~resolved
+        if not split.any():
+            break
+        centre = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo[split], centre]), np.concatenate([centre, hi[split]])
+        owner = np.concatenate([owner[split], owner[split]])
+    return which, roots
+
+
 def _exact_abs_means(dim, rows, rtol):
     """``zonal_abs_power_mean`` at power 1 of each 1-D row of at most
     ``_EXACT_TERMS`` terms, exact but for rounding: [-1, 1] split at the
     roots of G, each piece integrated by the Gegenbauer primitive.
 
-    Each row's G is sampled at its own K + 1 Chebyshev points (one
-    recurrence for the batch, zero-padded: a zero term adds +-0), its
-    Chebyshev coefficients taken by the DCT, and trailing ones up to
-    ``_CHOP`` of the largest dropped: below that they are rounding noise,
-    and their sum bounds how far the dropped part moves G, so a root they
-    would add lies where |G| is that small.  The roots are the eigenvalues
-    of the colleague matrix (Boyd, SIAM Rev. 55, 2013) with |Im| at most
-    ``_ROOT_IMAG`` and real part in (-1, 1); a split where G keeps its sign
-    costs nothing.  A row with |w_0| >= sum_k>=1 |w_k| has no sign change
-    to find, since |u_k| <= 1, and skips the DCT and the eigenvalues.
+    A row with |w_0| >= sum_k>=1 |w_k| (w_k = a_k d_k) has no sign change
+    to find, since |u_k| <= 1, and takes no root search.  A row of at most
+    2 ``_PIECE_DEGREE`` + 1 terms is sampled whole (``_whole_roots``, one
+    recurrence zero-padded: a zero term adds +-0), its Chebyshev
+    coefficients taken by the DCT, and trailing ones up to ``_CHOP`` of the
+    largest dropped: below that they are rounding noise, and their sum
+    bounds how far the dropped part moves G, so a root they would add lies
+    where |G| is that small.  A longer row is split into pieces
+    (``_piece_roots``), so that root finding costs O(K^2) rather than
+    O(K^3) (Boyd, SIAM J. Numer. Anal. 40, 2002); the pieces' noise floor
+    is 1e-13 sum_k |w_k|: on the 280-term Poisson row, the samples' own
+    rounding leaves up to 1.4e-14 of it in the trailing coefficients
+    however narrow the piece.  The roots are the eigenvalues of the
+    colleague matrix (Boyd, SIAM Rev. 55, 2013); a split where G keeps its
+    sign costs nothing, and a root a little off costs second order, since
+    G vanishes there; only a missed pair of roots would matter.
 
-    With w_k = a_k d_k, dsigma = c_n (1 - t^2)^(lam - 1/2) dt and the
-    derivative (DLMF 18.9)
+    With dsigma = c_n (1 - t^2)^(lam - 1/2) dt and the derivative (DLMF
+    18.9)
 
         d/dt[(1 - t^2)^(lam + 1/2) C_(k-1)^(lam+1)(t)]
             = -k (k + 2 lam) / (2 lam) (1 - t^2)^(lam - 1/2) C_k^lam(t),
@@ -375,11 +508,12 @@ def _exact_abs_means(dim, rows, rtol):
     with v the index-(lam + 1) Gegenbauer polynomials scaled to v(1) = 1,
     so the mean is sum_i |H(t_(i+1)) - H(t_i)| over the split points.
 
-    A row's value depends on that row alone: the DCT and the colleague
-    matrices go by groups of equal size and degree, and every sum runs in
-    a fixed order.  A row with non-finite samples or mean raises
-    AccuracyError with its first non-finite sample, or else its mean, as
-    both values (rtol is reported only); the lowest such row raises.
+    A row's value depends on that row alone: pieces and samples are
+    elementwise, the DCT and the colleague matrices go by groups of equal
+    size and degree, and every sum runs in a fixed order.  A row with
+    non-finite samples or mean raises AccuracyError with its first
+    non-finite sample, or else its mean, as both values (rtol is reported
+    only); the lowest such row raises.  Overflow raises no numpy warning.
     """
     sizes = np.array([row.size for row in rows])
     n, N = sizes.size, int(sizes.max())
@@ -387,65 +521,52 @@ def _exact_abs_means(dim, rows, rtol):
     w = np.zeros((N, n))
     for col, row in zip(w.T, rows):
         col[: row.size] = row
-    w *= _sph_dim_array(dim, N - 1)[:, None]
-    owner = np.repeat(np.arange(n), sizes)
-    x = np.concatenate([_chebyshev_rule(size)[0] for size in sizes.tolist()])
-    g = _series_sum(w, lam, x[None, :], owner)[0]
-    starts = np.cumsum(sizes) - sizes
-    finite = np.logical_and.reduceat(np.isfinite(g), starts)
-    # |u_k| <= 1 on [-1, 1], so G keeps its sign where |w_0| bounds the rest
-    rootless = ~finite | (np.abs(w[0]) >= _sum_columns(np.abs(w[1:].T)))
-    # each row's split points: -1, its roots, then 1 to its group's width
-    plain = np.flatnonzero(rootless)
-    groups = [(plain[:, None], np.tile([-1.0, 1.0], (plain.size, 1)))]
-    for size in np.unique(sizes).tolist():
-        mine = np.flatnonzero((sizes == size) & ~rootless)
-        if mine.size == 0:
-            continue
-        samples = g[starts[mine][:, None] + np.arange(size)]
-        dct = _chebyshev_rule(size)[1]
-        coef = samples[:, :1] * dct[0]
-        for j in range(1, size):
-            coef += samples[:, j : j + 1] * dct[j]
-        size_of = np.abs(coef)
-        big = size_of > _CHOP * size_of.max(axis=1, keepdims=True)
-        degree = np.where(big.any(axis=1), size - 1 - big[:, ::-1].argmax(axis=1), 0)
-        for m in np.unique(degree).tolist():
-            c = coef[degree == m]
-            points = np.ones((c.shape[0], m + 2))
-            points[:, 0] = -1.0
-            if m > 0:
-                # x T_j = (T_(j-1) + T_(j+1)) / 2, x T_0 = T_1, T_m by G = 0
-                colleague = np.zeros((c.shape[0], m, m))
-                j = np.arange(m - 1)
-                colleague[:, j, j + 1] = colleague[:, j + 1, j] = 0.5
-                if m > 1:
-                    colleague[:, 0, 1] = 1.0
-                colleague[:, m - 1, :] -= (1.0 if m == 1 else 0.5) * c[:, :m] / c[:, m : m + 1]
-                z = np.linalg.eigvals(colleague)
-                real = (np.abs(z.imag) <= _ROOT_IMAG) & (np.abs(z.real) < 1.0)
-                points[:, 1:-1] = np.sort(np.where(real, z.real, 1.0), axis=1)
-            groups.append((mine[degree == m][:, None], points))
-    # H at every split point, by one recurrence of index lam + 1
-    t = np.concatenate([points.ravel() for _, points in groups])
-    cols = np.concatenate([np.broadcast_to(i, points.shape).ravel() for i, points in groups])
-    a = lam + 0.5
-    v = _series_sum(w[1:] if N > 1 else np.zeros((1, n)), lam + 1.0, t[None, :], cols)[0]
-    H = w[0, cols] * betainc(a, a, 0.5 * (1.0 + t)) - (
-        sphere_density_constant(dim) / (2.0 * lam + 1.0)
-    ) * ((1.0 - t) * (1.0 + t)) ** a * v
-    out = np.empty(n)
-    start = 0
-    for i, points in groups:
-        h = H[start : start + points.size].reshape(points.shape)
-        out[i[:, 0]] = _sum_columns(np.abs(np.diff(h, axis=1)))
-        start += points.size
-    bad = np.flatnonzero(~(finite & np.isfinite(out)))
-    if bad.size:
-        i = bad[0]
+    whole = sizes <= 2 * _PIECE_DEGREE + 1
+    bad = {}  # row -> its first non-finite sample
+    which, roots = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    with np.errstate(all="ignore"):
+        w *= _sph_dim_array(dim, N - 1)[:, None]
+        size_of = np.abs(w)
+        rest = _sum_columns(size_of[1:].T)
+        # |u_k| <= 1 on [-1, 1], so G keeps its sign where |w_0| bounds the rest
+        search = size_of[0] < rest
+        if whole.any():
+            found = _whole_roots(w, lam, np.flatnonzero(whole), sizes, search, bad)
+            which += found[0]
+            roots += found[1]
+        if (search & ~whole).any():
+            floor = 1e-13 * (size_of[0] + rest)
+            found = _piece_roots(w, lam, np.flatnonzero(search & ~whole), sizes, floor, bad)
+            which += found[0]
+            roots += found[1]
+        # each row's split points: -1, its roots in ascending order, 1
+        which, roots = np.concatenate(which), np.concatenate(roots)
+        counts = np.bincount(which, minlength=n)
+        ends = np.cumsum(counts + 2)
+        begins = ends - counts - 2
+        owner = np.repeat(np.arange(n), counts + 2)
+        t = np.ones(owner.size)
+        t[begins] = -1.0
+        inner = np.ones(owner.size, dtype=bool)
+        inner[begins] = inner[ends - 1] = False
+        t[inner] = roots[np.lexsort((roots, which))]
+        # H at every split point, by one recurrence of index lam + 1
+        a = lam + 0.5
+        v = _series_sum(w[1:] if N > 1 else np.zeros((1, n)), lam + 1.0, t[None, :], owner)[0]
+        H = w[0, owner] * betainc(a, a, 0.5 * (1.0 + t)) - (
+            sphere_density_constant(dim) / (2.0 * lam + 1.0)
+        ) * ((1.0 - t) * (1.0 + t)) ** a * v
+        # each row's |H(t_(i+1)) - H(t_i)|, in order, zero-padded to the widest
+        step = np.ones(owner.size - 1, dtype=bool)
+        step[ends[:-1] - 1] = False
+        column = np.arange(owner.size) - np.repeat(begins, counts + 2)
+        table = np.zeros((n, int(counts.max()) + 1))
+        table[owner[:-1][step], column[:-1][step]] = np.abs(np.diff(H))[step]
+        out = _sum_columns(table)
+    failed = sorted(set(bad) | set(np.flatnonzero(~np.isfinite(out)).tolist()))
+    if failed:
         # a row with non-finite samples skipped its roots: report a sample
-        samples = g[starts[i] : starts[i] + sizes[i]]
-        value = float(out[i] if finite[i] else samples[~np.isfinite(samples)][0])
+        value = float(bad.get(failed[0], out[failed[0]]))
         raise AccuracyError("exact zonal integral met non-finite values", value, value, rtol)
     return out.tolist()
 
@@ -513,9 +634,10 @@ def _zonal_abs_power_means(dim, rows, power, rtol):
 
 def zonal_abs_power_mean(dim, zcoeffs, power=1.0, rtol=1e-8):
     """Normalized surface integral of |G|^power for a zonal series G: exact
-    at power 1 for at most ``_EXACT_TERMS`` terms, else adaptive, with the
-    mesh graded toward the pole at the scale of the coefficient decay; a
-    series of more than ``_AHEAD_TERMS`` terms looks ahead."""
+    at power 1 for at most ``_EXACT_TERMS`` = 512 terms (roots found whole
+    up to 65 terms, else piece by piece), else adaptive, with the mesh
+    graded toward the pole at the scale of the coefficient decay; a series
+    of more than ``_AHEAD_TERMS`` terms looks ahead."""
     zcoeffs = np.ascontiguousarray(zcoeffs, dtype=float)
     if _route(zcoeffs.size, power) == "exact":
         return _exact_abs_means(dim, [zcoeffs], rtol)[0]

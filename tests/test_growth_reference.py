@@ -21,7 +21,11 @@ from mpmath's gamma function and Z_k = (k + lam)/lam C_k^lam (2 cos(k theta)
 on the circle) from the Gegenbauer three-term recurrence, truncated where
 the terms' bound C_k^lam(1) falls 25 digits below gamma_0, and its absolute
 value integrated by ``mpmath.quad`` at 20 digits, split at the zeros.  Where
-G keeps its sign, I(s) is the mean of G, gamma_0 c_0.
+G keeps its sign, I(s) is the mean of G, gamma_0 c_0.  The mid-radius
+references (s = 0.6 to 0.92, the Baseline's two ``ones`` cases and the
+ladder nodes j = 1.5..3.5 of ``ones`` and ``powerlaw:0.75`` at m = 1.5,
+2.5 and 3, n = 3..5) are the same sum at 30 digits, its zeros bracketed on
+a scan grid of 513 points.
 
 The values are pinned, so the suite needs no mpmath; the ``regenerates``
 tests recompute each where mpmath is installed, and
@@ -33,7 +37,8 @@ import math
 
 import pytest
 
-from ballharm.multipliers import _growth_integrals, multiplier_family
+from ballharm._zonalseries import _EXACT_TERMS
+from ballharm.multipliers import _growth_integrals, _series_degrees, multiplier_family
 
 # (n, m, j) -> I(1 - 2^-j) of ``ones``
 REFERENCES = {
@@ -107,6 +112,97 @@ SHORT_REFERENCES = {
 }
 SHORT_CASES = sorted(SHORT_REFERENCES)
 
+# (n, m, family, s) -> I(s) at mid radii, by the short series at 30 digits
+# with a scan grid of 513 points: the Baseline's two ``ones`` cases at
+# s = 0.7 and 0.8, and the ladder nodes s = 1 - 2^-j, j = 1.5..3.5, that
+# take the series route at rtol 1e-9
+MID_REFERENCES = {
+    (3, 1.5, 'ones', 0.6464466094067263): 22.174080760891297,
+    (3, 1.5, 'ones', 0.75): 50.104201681409755,
+    (3, 1.5, 'ones', 0.8232233047033631): 113.15272012878226,
+    (3, 1.5, 'ones', 0.875): 257.15164327493454,
+    (3, 1.5, 'ones', 0.9116116523516815): 589.6334341891608,
+    (3, 1.5, 'powerlaw:0.75', 0.6464466094067263): 5.9142234204905275,
+    (3, 1.5, 'powerlaw:0.75', 0.75): 9.859796747171114,
+    (3, 1.5, 'powerlaw:0.75', 0.8232233047033631): 17.543817638679165,
+    (3, 1.5, 'powerlaw:0.75', 0.875): 31.444248878263853,
+    (3, 1.5, 'powerlaw:0.75', 0.9116116523516815): 56.3437599185175,
+    (3, 2.5, 'ones', 0.6464466094067263): 82.77249298757602,
+    (3, 2.5, 'ones', 0.75): 249.91719847451353,
+    (3, 2.5, 'ones', 0.8232233047033631): 769.7964316527061,
+    (3, 2.5, 'ones', 0.875): 2430.0134446201287,
+    (3, 2.5, 'ones', 0.9116116523516815): 7907.501595819165,
+    (3, 2.5, 'powerlaw:0.75', 0.6464466094067263): 18.926324635737963,
+    (3, 2.5, 'powerlaw:0.75', 0.75): 43.78380083437779,
+    (3, 2.5, 'powerlaw:0.75', 0.8232233047033631): 102.82538591463211,
+    (3, 2.5, 'powerlaw:0.75', 0.875): 244.96156930334197,
+    (3, 2.5, 'powerlaw:0.75', 0.9116116523516815): 593.6135136227435,
+    (3, 3.0, 'ones', 0.6464466094067263): 152.49215780122975,
+    (3, 3.0, 'ones', 0.75): 536.2207967007275,
+    (3, 3.0, 'ones', 0.8232233047033631): 1951.5389531603216,
+    (3, 3.0, 'powerlaw:0.75', 0.6464466094067263): 33.24698583263586,
+    (3, 3.0, 'powerlaw:0.75', 0.75): 88.18587180448596,
+    (3, 3.0, 'powerlaw:0.75', 0.8232233047033631): 238.9703236007959,
+    (4, 1.5, 'ones', 0.6464466094067263): 28.16516184980198,
+    (4, 1.5, 'ones', 0.75): 62.3372915210392,
+    (4, 1.5, 'ones', 0.8232233047033631): 138.86204953253008,
+    (4, 1.5, 'ones', 0.875): 312.032830623616,
+    (4, 1.5, 'ones', 0.9116116523516815): 708.8758013953595,
+    (4, 1.5, 'powerlaw:0.75', 0.6464466094067263): 8.75,
+    (4, 1.5, 'powerlaw:0.75', 0.75): 11.088178116325203,
+    (4, 1.5, 'powerlaw:0.75', 0.8232233047033631): 19.383675022086326,
+    (4, 1.5, 'powerlaw:0.75', 0.875): 35.1056096178219,
+    (4, 1.5, 'powerlaw:0.75', 0.9116116523516815): 63.45538460136874,
+    (4, 2.5, 'ones', 0.6464466094067263): 112.34624704158283,
+    (4, 2.5, 'ones', 0.75): 330.3608818746083,
+    (4, 2.5, 'ones', 0.8232233047033631): 995.8720692071062,
+    (4, 2.5, 'ones', 0.875): 3093.967720896899,
+    (4, 2.5, 'ones', 0.9116116523516815): 9949.799686653863,
+    (4, 2.5, 'powerlaw:0.75', 0.6464466094067263): 23.503537409734754,
+    (4, 2.5, 'powerlaw:0.75', 0.75): 53.79659863915473,
+    (4, 2.5, 'powerlaw:0.75', 0.8232233047033631): 126.6089350461312,
+    (4, 2.5, 'powerlaw:0.75', 0.875): 300.496090982594,
+    (4, 2.5, 'powerlaw:0.75', 0.9116116523516815): 723.3646401397423,
+    (4, 3.0, 'ones', 0.6464466094067263): 212.68946579055623,
+    (4, 3.0, 'ones', 0.75): 725.1560836693264,
+    (4, 3.0, 'ones', 0.8232233047033631): 2578.321166678551,
+    (4, 3.0, 'powerlaw:0.75', 0.6464466094067263): 42.80324013539607,
+    (4, 3.0, 'powerlaw:0.75', 0.75): 113.16876051321681,
+    (4, 3.0, 'powerlaw:0.75', 0.8232233047033631): 304.7458628674441,
+    (5, 1.5, 'ones', 0.6464466094067263): 34.24765407911428,
+    (5, 1.5, 'ones', 0.75): 73.64053985676162,
+    (5, 1.5, 'ones', 0.8232233047033631): 161.25030899398698,
+    (5, 1.5, 'ones', 0.875): 357.5410558074965,
+    (5, 1.5, 'ones', 0.9116116523516815): 803.5688175226663,
+    (5, 1.5, 'powerlaw:0.75', 0.6464466094067263): 13.581221810508403,
+    (5, 1.5, 'powerlaw:0.75', 0.75): 13.742145285485726,
+    (5, 1.5, 'powerlaw:0.75', 0.8232233047033631): 21.258553229739537,
+    (5, 1.5, 'powerlaw:0.75', 0.875): 37.88925669507581,
+    (5, 1.5, 'powerlaw:0.75', 0.9116116523516815): 68.47559792184823,
+    (5, 2.5, 'ones', 0.6464466094067263): 143.7558378402295,
+    (5, 2.5, 'ones', 0.7): 235.3395997549931,
+    (5, 2.5, 'ones', 0.75): 409.9633303888628,
+    (5, 2.5, 'ones', 0.8232233047033631): 1206.4675141053401,
+    (5, 2.5, 'ones', 0.875): 3680.0445093386847,
+    (5, 2.5, 'ones', 0.9116116523516815): 11671.223445579524,
+    (5, 2.5, 'powerlaw:0.75', 0.6464466094067263): 29.839599499577314,
+    (5, 2.5, 'powerlaw:0.75', 0.75): 62.8984740137037,
+    (5, 2.5, 'powerlaw:0.75', 0.8232233047033631): 146.96468715655396,
+    (5, 2.5, 'powerlaw:0.75', 0.875): 346.8424905706826,
+    (5, 2.5, 'powerlaw:0.75', 0.9116116523516815): 828.5412088843118,
+    (5, 3.0, 'ones', 0.6464466094067263): 278.3933792970292,
+    (5, 3.0, 'ones', 0.75): 917.1454903622947,
+    (5, 3.0, 'ones', 0.8): 2022.9833610215696,
+    (5, 3.0, 'powerlaw:0.75', 0.6464466094067263): 53.19482138901098,
+    (5, 3.0, 'powerlaw:0.75', 0.75): 136.49967086143843,
+}
+MID_CASES = sorted(MID_REFERENCES)
+# regenerating them all takes about 20 minutes: the Baseline's two and the
+# shallowest n = 3 node of each family and order are regenerated here
+MID_REGENERATED = [(5, 2.5, "ones", 0.7), (5, 3.0, "ones", 0.8)] + [
+    (3, m, family, 1.0 - 2.0**-1.5) for family in ("ones", "powerlaw:0.75") for m in (1.5, 2.5, 3.0)
+]
+
 
 def mpmath_growth_integral(n, m, j, dps=20):
     """I(1 - 2^-j) of ``ones`` at integer order m, in mpmath alone."""
@@ -137,17 +233,19 @@ def mpmath_growth_integral(n, m, j, dps=20):
         return float(cn * mp.quad(lambda th: abs(kernel(th)) * mp.sin(th) ** (n - 2), breaks))
 
 
-def mpmath_short_integral(n, m, family, s, dps=20):
-    """I(s) of ``ones`` or ``powerlaw:0.5``, as an mpmath sum of the series."""
+def mpmath_short_integral(n, m, family, s, dps=20, scan=64):
+    """I(s) of ``ones`` or ``powerlaw:t``, as an mpmath sum of the series,
+    its zeros bracketed on a scan grid of ``scan`` + 1 points."""
     import mpmath as mp
 
     with mp.workdps(dps):
         s, m, lam, half_n = mp.mpf(s), mp.mpf(m), mp.mpf(n - 2) / 2, mp.mpf(n) / 2
+        power = None if family == "ones" else mp.mpf(family.split(":")[1])
         # a_k = gamma_k c_k s^k Z_k / C_k^lam
         a = []
         for k in itertools.count():
             gamma = mp.gamma(k + half_n + m + 1) / (mp.gamma(k + half_n) * mp.gamma(m + 1))
-            c = 1 if family == "ones" else (k + 1) ** -mp.mpf(0.5)
+            c = 1 if power is None else (k + 1) ** -power
             z = (k + lam) / lam if n > 2 else (2 if k else 1)
             a.append(gamma * c * s**k * z)
             peak = mp.binomial(k + 2 * lam - 1, k) if n > 2 else 1
@@ -165,11 +263,11 @@ def mpmath_short_integral(n, m, family, s, dps=20):
                 total += a[k] * c
             return total
 
-        scan = [mp.pi * i / 64 for i in range(65)]
-        values = [G(x) for x in scan]
+        grid = [mp.pi * i / scan for i in range(scan + 1)]
+        values = [G(x) for x in grid]
         zeros = [
             mp.findroot(G, (x0, x1), solver="anderson", verify=False)
-            for x0, x1, g0, g1 in zip(scan, scan[1:], values, values[1:])
+            for x0, x1, g0, g1 in zip(grid, grid[1:], values, values[1:])
             if g0 * g1 < 0
         ]
         cn = mp.gamma(half_n) / (mp.sqrt(mp.pi) * mp.gamma(half_n - mp.mpf(1) / 2))
@@ -205,6 +303,25 @@ def test_short_reference_regenerates(n, m, family, s):
     assert mpmath_short_integral(n, m, family, s) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n,m,family,s", MID_CASES)
+def test_growth_integral_meets_mid_reference(n, m, family, s):
+    # at rtol 1e-9, truncating the series moves I(s) by less than 1e-14;
+    # the exact route meets 1e-12, where the adaptive core was up to 2.1e-8
+    # off (at rtol 1e-7, 4.5e-7 and 1.7e-7 on the Baseline's two); the few
+    # rows of more than _EXACT_TERMS terms stay on the core, held to rtol
+    fam = multiplier_family(family)
+    [value] = _growth_integrals(n, m, fam, [s], rtol=1e-9)
+    exact = _series_degrees(n, m, fam, 1e-9)(s) + 1 <= _EXACT_TERMS
+    assert value == pytest.approx(MID_REFERENCES[n, m, family, s], rel=1e-12 if exact else 1e-9)
+
+
+@pytest.mark.parametrize("n,m,family,s", MID_REGENERATED)
+def test_mid_reference_regenerates(n, m, family, s):
+    pytest.importorskip("mpmath")
+    value = mpmath_short_integral(n, m, family, s, dps=30, scan=512)
+    assert value == pytest.approx(MID_REFERENCES[n, m, family, s], rel=1e-15)
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f"    {case}: {mpmath_growth_integral(*case)!r},")
@@ -214,3 +331,5 @@ if __name__ == "__main__":
                 for s in (0.05, 0.15, 0.5):
                     case = (n, m, family, s)
                     print(f"    {case}: {mpmath_short_integral(*case)!r},")
+    for case in MID_CASES:
+        print(f"    {case}: {mpmath_short_integral(*case, dps=30, scan=512)!r},")

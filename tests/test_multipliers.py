@@ -222,8 +222,8 @@ _PINNED_GROWTH_BITS = {
         '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
         '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.c9796f63e3842p+2',
         '0x1.4fb827a415a38p+3', '0x1.0bd58dc7bbd54p+4', '0x1.b0d0fcdda8420p+4',
-        '0x1.5d89af77797e6p+5', '0x1.1a0389af816e1p+6', '0x1.c770ccd0f048dp+6',
-        '0x1.2b6598df3ea1fp+8', '0x1.8f86439c60e83p+9', '0x1.0e7a40b7ea66ap+11',
+        '0x1.5d89af6abbe4ap+5', '0x1.1a0389af49a57p+6', '0x1.c770ccdc6892ap+6',
+        '0x1.2b6598dedf7f3p+8', '0x1.8f86439c60e83p+9', '0x1.0e7a40b7ea66ap+11',
         '0x1.73f21c59da797p+12', '0x1.02eef0263152dp+14', '0x1.6a85876ea2c36p+15',
         '0x1.fd37427d5438ep+16', '0x1.666401be5f9f2p+18', '0x1.f93175b6057ecp+19',
         '0x1.64694d4dd1422p+21', '0x1.f73bd0bb76dc3p+22', '0x1.6370186623d6dp+24',
@@ -237,9 +237,9 @@ _PINNED_GROWTH_BITS = {
         '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
         '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
         '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b3c624991fbbp+4',
-        '0x1.657a4df4c3089p+4', '0x1.ec089d644603dp+4', '0x1.71e15d3c27d50p+5',
-        '0x1.1ee40043bd31dp+6', '0x1.c22b3e1cfab43p+6', '0x1.634f44ae8d1e3p+7',
-        '0x1.c19e081949718p+8', '0x1.22d882203d2b7p+10', '0x1.806d2f9c74870p+11',
+        '0x1.657a4df4c3089p+4', '0x1.ec089d644603dp+4', '0x1.71e15d336f784p+5',
+        '0x1.1ee4004b72490p+6', '0x1.c22b3e098fd2ap+6', '0x1.634f44ef2e47dp+7',
+        '0x1.c19e0816f1937p+8', '0x1.22d882203d2b7p+10', '0x1.806d2f9c74870p+11',
         '0x1.03de169215f6dp+13', '0x1.653bfb5a19ae2p+14', '0x1.ef9fd39965767p+15',
         '0x1.59dbf63f4d6cep+17', '0x1.e4a1a7ada8aa5p+18', '0x1.547a35151cda1p+20',
         '0x1.df5236bb165b6p+21', '0x1.51d8615398ca0p+23', '0x1.dcb44538b667dp+24',
@@ -254,8 +254,8 @@ _PINNED_GROWTH_BITS = {
         '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
         '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
         '0x1.a94ab8e8a34a4p+2', '0x1.086b8941c4866p+3', '0x1.731ba71ef20e1p+3',
-        '0x1.0edb7f8cdfdfep+4', '0x1.9016e7589f285p+4', '0x1.288a1fbd37ec8p+5',
-        '0x1.477c477a394d9p+6', '0x1.6cfd5d8fe4af7p+7', '0x1.9baaf6c969285p+8',
+        '0x1.0edb7f9aad8b4p+4', '0x1.9016e77920a6ep+4', '0x1.288a1fa597a90p+5',
+        '0x1.477c47bc650e3p+6', '0x1.6cfd5d8fe4af7p+7', '0x1.9baaf6c969285p+8',
         '0x1.d5e71cacb36a6p+9', '0x1.0efa3cd24219ap+11', '0x1.3b1ce40196ccfp+12',
         '0x1.70bba0556ceafp+13', '0x1.b1dd7780f8827p+14', '0x1.004bcc72ee12ap+16',
         '0x1.2f75a8b9ed0e7p+17', '0x1.67cbf5647a038p+18', '0x1.aafbea4a6343cp+19',
@@ -269,9 +269,9 @@ _PINNED_GROWTH_BITS = {
         '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
         '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
         '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3b00000000001p+4',
-        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3f0a6e3bbf650p+4',
-        '0x1.964636137236ep+4', '0x1.1f5645574ce86p+5', '0x1.a3d2eea9727cep+5',
-        '0x1.ca6327983e7f5p+6', '0x1.f8bb466d2dee5p+7', '0x1.18a175eca6e25p+9',
+        '0x1.3b00000000001p+4', '0x1.3b00000000001p+4', '0x1.3f0a6e5db2135p+4',
+        '0x1.9646360acea25p+4', '0x1.1f56456104e6ap+5', '0x1.a3d2ee91ef5d4p+5',
+        '0x1.ca63278545865p+6', '0x1.f8bb466d2dee5p+7', '0x1.18a175eca6e25p+9',
         '0x1.3bfd116f07d59p+10', '0x1.683d8494377cep+11', '0x1.9f18c84f95d95p+12',
         '0x1.e261a9e18004dp+13', '0x1.1a529149b6edcp+15', '0x1.4c5a56d1cf8d4p+16',
         '0x1.8884e0f84e998p+17', '0x1.d08fc68a5e5cdp+18', '0x1.134f4afebb288p+20',
@@ -286,23 +286,23 @@ _PINNED_GROWTH_BITS = {
         '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2',
         '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2',
         '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2', '0x1.45f306dc9c882p+2',
-        '0x1.7a82a2fa0a8d5p+2', '0x1.e08a3571209cap+2', '0x1.3b83747a47ee2p+3',
-        '0x1.18b379dd3bb59p+4', '0x1.f71ba3ed5b485p+4', '0x1.c2c0052f49408p+5',
+        '0x1.7a82a2f30b984p+2', '0x1.e08a355db1986p+2', '0x1.3b837477c9a4dp+3',
+        '0x1.18b37a1fd20bfp+4', '0x1.f71ba4b6370efp+4', '0x1.c2c005333db82p+5',
         '0x1.9430a22eabb5ep+6', '0x1.6b54a6cee1dc2p+7', '0x1.47a8d398573f3p+8',
         '0x1.2878539dc93d5p+9', '0x1.0d0d6f4b8a71fp+10', '0x1.e99121a81005ep+10',
         '0x1.be4d0637d8d2ep+11', '0x1.977d7a8d0471ep+12', '0x1.747db8d305c41p+13',
     ],
     (3, 2.0, 'finite:300', 8): [
-        '0x1.a3fffffffffffp+2', '0x1.a3fffffffffffp+2', '0x1.a400000000000p+2',
-        '0x1.a400000000001p+2', '0x1.a400000000001p+2', '0x1.a400000000000p+2',
-        '0x1.a400000000000p+2', '0x1.a400000000002p+2', '0x1.a400000000001p+2',
-        '0x1.a400000000001p+2', '0x1.a400000000001p+2', '0x1.c9796f72cb049p+2',
-        '0x1.4fb827a5f82dap+3', '0x1.0bd58d9f9a5f7p+4', '0x1.b0d0fceb253dep+4',
-        '0x1.5d89af77785d7p+5', '0x1.1a0389af71f69p+6', '0x1.c770ccd101882p+6',
-        '0x1.2b6598df42f6ap+8', '0x1.8f86439e70220p+9', '0x1.0e7a40e4b71fep+11',
-        '0x1.73f2794f54ef2p+12', '0x1.0795df2eb2bcbp+14', '0x1.0cb976e51428cp+16',
-        '0x1.07b151b98ff32p+19', '0x1.a30ff842d6d2dp+21', '0x1.98db736739bb9p+23',
-        '0x1.0cc4617a3ffa2p+25', '0x1.0a3d9888db93fp+26', '0x1.afa20f5c9719bp+26',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.a400000000002p+2',
+        '0x1.a400000000002p+2', '0x1.a400000000002p+2', '0x1.c9796f640b982p+2',
+        '0x1.4fb827a413317p+3', '0x1.0bd58dc7c5e02p+4', '0x1.b0d0fcddb11f0p+4',
+        '0x1.5d89af6abac3ap+5', '0x1.1a0389af4789cp+6', '0x1.c770ccdc66a4ep+6',
+        '0x1.2b6598dedf03bp+8', '0x1.8f86439cc707fp+9', '0x1.0e7a40bccecddp+11',
+        '0x1.73f2795ae564ap+12', '0x1.0795d2841de02p+14', '0x1.0cb977170b0c1p+16',
+        '0x1.07b151d7f81d1p+19', '0x1.a30ff8d87dbd4p+21', '0x1.98db73efbecf0p+23',
+        '0x1.0cc461a56a2e6p+25', '0x1.0a3d98a1cbd77p+26', '0x1.afa20f7a011a3p+26',
     ],
 }
 

@@ -290,9 +290,9 @@ def test_zonal_profile_raises_as_the_per_radius_loop(dim, coeffs, q):
 @pytest.mark.parametrize("K", [8, 256])
 def test_zonal_profile_makes_one_core_call_per_chunk(monkeypatch, K):
     # a short series takes its radii in chunks of _PROFILE_CHUNK, a long one
-    # (257 terms) one at a time with lookahead; at q = 1 the short one would
-    # take the exact route instead, so it runs at q = 2
-    q = 2.0 if K < 256 else 1.0
+    # (257 terms) one at a time with lookahead; at q = 1 both would take the
+    # exact route instead, so they run at q = 2
+    q = 2.0
     seen = []
 
     def counted(dim, G, deltas, power, rtol, ahead=0):

@@ -49,17 +49,17 @@ CASES = {
     # the ``ones`` curve takes the closed-form kernel from j = 3 on
     "mult-check-ones": (["mult-check", "--alpha", "0.5", "--beta", "0.25",
                          "--multiplier", "ones", "--rho-levels", "6"], 0,
-                        "c8ce9aa81b341adf0a6816e9c65aa3ec80352a4139ad073f46e6b7197562945a"),
+                        "aebf8c97adb6818e4454002efa6bc558c91065b74c65aa21e36ccc8aebd251e0"),
     # numerator and denominator growth curves differ
     "mult-check-powerlaw": (MULT_CHECK + ["--multiplier", "powerlaw:0.5"], 0,
-                            "ac1d5a25176669f4fabb30b17af0b0940fde2766408503f59dedbeadbc4c9b7c"),
+                            "67d5a366e9a43074b7b26da9d44b642529c79f5af2db7eed5002cdb168a3c3dc"),
     # a multiplier file: the curve is keyed by the coefficient values; the
     # probe's denominator is the ``ones`` curve, so its ratios move with it
     "mult-check-file": (MULT_CHECK + ["--multiplier", "zm.json"], 0,
-                        "2161b37cf6e433d95606a65d2513283e68cd78b1c2002e160dfc282889bd306e"),
+                        "fd7e11ce2cbfd1fa1a99f0f650d66b8b87c927d20da1b8dc6445a85f99945142"),
     # the pointwise kernel is the closed growth kernel at integer beta
     "lemma-1": (["lemma", "--id", "1"], 0,
-                "48672391370679446b39af8f4d29eb3c7f8eb4b3611bf6a6bd2e43e3d89b9db9"),
+                "00fca7d14d82d2c3ca239d1856f08f5b172b3887d1f7ddb7b4764a72a5b575c9"),
     "lemma-4": (["lemma", "--id", "4"], 0,
                 "b08bdd770c738afaec22034670d698f74fb12e851a2da69b85420f9e17628b69"),
     "lemma-5": (["lemma", "--id", "5"], 0,

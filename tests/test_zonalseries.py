@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ballharm._zonalseries import (
     zonal_abs_power_mean,
     zonal_series_values,
 )
+from ballharm.cli import main
 from ballharm.errors import AccuracyError
 from ballharm.multipliers import multiplier_family
 from ballharm.specfun import _sph_dim_array
@@ -101,12 +103,14 @@ def test_abs_power_mean_bits_pinned():
         (2, 0.99 ** np.arange(900.0), 1.0, "0x1.ffffffffffef0p-1"),
         (5, rng.standard_normal(64) * 0.95 ** np.arange(64.0), 1.0, "0x1.4b2c0573e2242p+6"),
     ]
-    for n, coeffs, power, bits in cases[:-1]:
-        assert float(zonal_abs_power_mean(n, coeffs, power, rtol=1e-9)).hex() == bits
-    # a q = 1 row of 64 terms takes the exact route, so the core is called
-    # directly to keep its bits pinned
-    n, coeffs, power, bits = cases[-1]
-    assert float(_means_in_one_loop(n, [coeffs], power, 1e-9, 0)[0]).hex() == bits
+    for n, coeffs, power, bits in cases:
+        if _zonalseries._route(coeffs.size, power) == "exact":
+            # q = 1 rows of 64 and 120 terms take the exact route, so the
+            # core is called directly to keep its bits pinned
+            value = _means_in_one_loop(n, [coeffs], power, 1e-9, 0)[0]
+        else:
+            value = zonal_abs_power_mean(n, coeffs, power, rtol=1e-9)
+        assert float(value).hex() == bits
     # the j = 8 growth series of ``ones`` (n = 3, m = 2), K = 12,569, which
     # ``_growth_integrals`` integrates by the closed-form kernel instead
     value = zonal_abs_power_mean(3, _growth_series(3, 2.0, 8), 1.0, rtol=1e-7)
@@ -135,9 +139,12 @@ def test_core_integrates_closed_form_poisson_in_theta(n, j):
 
 def test_abs_mean_non_finite_series_raises():
     # +-1e308 times d_k overflows: no panel can converge, so the first
-    # round refuses instead of bisecting until memory runs out
+    # round of the core refuses instead of bisecting until memory runs out
+    # (at q = 1 the exact route takes this row, so the core is called
+    # directly)
+    row = np.array([1e308, -1e308, 1e308, -1e308])
     with pytest.warns(RuntimeWarning) as caught, pytest.raises(AccuracyError, match="non-finite"):
-        zonal_abs_power_mean(3, np.array([1e308, -1e308, 1e308, -1e308]), 1.0)
+        _means_in_one_loop(3, [row], 1.0, 1e-8, 0)
     messages = {str(w.message) for w in caught}
     assert "overflow encountered in multiply" in messages
     assert "invalid value encountered in add" in messages
@@ -195,14 +202,13 @@ _LOOKAHEAD_GRID = [
 
 
 @pytest.mark.parametrize("n,j,m,q", _LOOKAHEAD_GRID)
-def test_lookahead_keeps_growth_integral_bits(monkeypatch, n, j, m, q):
+def test_lookahead_keeps_growth_integral_bits(n, j, m, q):
     # panels evaluated ahead carry the bits the round that takes them would
-    # have computed; forced on below the series-length gate as well
+    # have computed; forced on below the series-length gate as well, and
+    # on the core for the q = 1 rows the exact route takes
     zcoeffs = _growth_series(n, m, j)
-    monkeypatch.setattr(_zonalseries, "_AHEAD_TERMS", math.inf)
-    plain = _outcome(zonal_abs_power_mean, n, zcoeffs, q, 1e-7)
-    monkeypatch.setattr(_zonalseries, "_AHEAD_TERMS", 0)
-    assert _outcome(zonal_abs_power_mean, n, zcoeffs, q, 1e-7) == plain
+    mean = lambda ahead: _means_in_one_loop(n, [zcoeffs], q, 1e-7, ahead)[0]
+    assert _outcome(mean, _AHEAD_PANELS) == _outcome(mean, 0)
 
 
 def _traced(G):
@@ -414,8 +420,11 @@ def test_exact_route_edge_cases(n, coeffs, exact):
 
 
 def test_short_q1_rows_never_reach_the_core(monkeypatch):
+    # every size that is sampled whole, then sizes in pieces up to
+    # _EXACT_TERMS = 512
     rng = np.random.default_rng(5)
-    rows = [rng.standard_normal(size) for size in range(1, _zonalseries._EXACT_TERMS + 1)]
+    sizes = [*range(1, 67), *range(80, _zonalseries._EXACT_TERMS, 23), _zonalseries._EXACT_TERMS]
+    rows = [rng.standard_normal(size) for size in sizes]
 
     def core(*args, **kwargs):
         raise AssertionError("the adaptive core was called")
@@ -431,8 +440,9 @@ def test_short_q1_rows_never_reach_the_core(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_exact_batch_values_equal_batches_of_one(n):
-    # ragged sizes, radii down to 1e-3 (chopped degrees), an all-zero row,
-    # w_0 = 0, and more rows than one exact batch takes
+    # ragged sizes, whole rows and rows in pieces, radii down to 1e-3
+    # (chopped degrees), an all-zero row, w_0 = 0, and more rows than one
+    # exact batch takes
     rng = np.random.default_rng(100 + n)
     rows = []
     for _ in range(_zonalseries._EXACT_CHUNK + 40):
@@ -456,3 +466,68 @@ def test_exact_route_raises_for_the_lowest_non_finite_row():
     assert expected != _refusal(zonal_abs_power_mean, 3, nan, 1.0, 1e-9)
     assert _refusal(_zonal_abs_power_means, 3, rows, 1.0, 1e-9) == expected
     assert _refusal(_zonal_abs_power_means, 3, rows[3:], 1.0, 1e-9) != expected
+
+
+def _whole_row_means(monkeypatch, n, rows):
+    # every row of up to 513 terms sampled whole, one colleague matrix each
+    with monkeypatch.context() as m:
+        m.setattr(_zonalseries, "_PIECE_DEGREE", 256)
+        return _exact_abs_means(n, rows, 1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pieces_agree_with_the_whole_row(monkeypatch, n):
+    # rows of 66 to 512 terms at radii from decaying to not at all; the
+    # Poisson row of 280 terms at a radius with its tail's sign changes
+    rng = np.random.default_rng(600 + n)
+    rows = [
+        rng.standard_normal(size) * r ** np.arange(size, dtype=float)
+        for size, r in ((66, 1.0), (129, 0.99), (200, 0.5), (257, 1.0), (400, 0.99), (512, 1.0))
+    ]
+    rows.append(0.99 ** np.arange(280.0))
+    pieces = np.array(_exact_abs_means(n, rows, 1e-8))
+    assert np.abs(pieces / _whole_row_means(monkeypatch, n, rows) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        np.array([1e308, 2e307, 2e307]),  # the samples overflow
+        np.array([1e308, -1e308, 1e308, -1e308]),  # so do the weights a_k d_k
+        np.concatenate([[1e308, 2e307, 2e307], np.ones(200)]),  # a row in pieces
+    ],
+)
+def test_exact_route_is_silent_on_overflow(row):
+    # no numpy warning, and the non-finite check still refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match="non-finite"):
+            _zonal_abs_power_means(3, [row], 1.0, 1e-9)
+
+
+def test_long_rows_raise_for_the_lowest_non_finite_row():
+    # rows in pieces: one whose samples overflow, one with a NaN weight;
+    # the batch raises what the first raises alone
+    overflow = np.concatenate([[1e308, 2e307, 2e307], np.ones(200)])
+    nan = np.concatenate([[1.0, np.nan], np.ones(300)])
+    rows = [np.ones(300), 0.9 ** np.arange(100.0), overflow, np.ones(9), nan, overflow]
+    expected = _refusal(zonal_abs_power_mean, 3, overflow, 1.0, 1e-9)
+    assert "non-finite" in expected[0]
+    assert expected != _refusal(zonal_abs_power_mean, 3, nan, 1.0, 1e-9)
+    assert _refusal(_zonal_abs_power_means, 3, rows, 1.0, 1e-9) == expected
+
+
+def test_poisson_norm_at_q1_never_reaches_the_core(monkeypatch, tmp_path):
+    # the 280-term Poisson file: each radius of both refinement levels takes
+    # the exact route, and the norm still refuses for the radial rule
+    calls = []
+
+    def core(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the adaptive core was called")
+
+    path = tmp_path / "poisson.json"
+    assert main(["kernel", "--dim", "3", "--out", str(path)]) == 0
+    monkeypatch.setattr(_zonalseries, "_abs_power_mean", core)
+    assert main(["norm", "--input", str(path), "--p", "1", "--q", "1", "--alpha", "0.5"]) == 3
+    assert calls == []
