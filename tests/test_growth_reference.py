@@ -28,8 +28,8 @@ ladder nodes j = 1.5..3.5 of ``ones`` and ``powerlaw:0.75`` at m = 1.5,
 a scan grid of 513 points.
 
 The values are pinned, so the suite needs no mpmath; the ``regenerates``
-tests recompute each where mpmath is installed, and
-``python tests/test_growth_reference.py`` prints them all.
+tests recompute them where mpmath is installed (of the mid-radius ones,
+eight), and ``python tests/test_growth_reference.py`` prints them all.
 """
 
 import itertools

@@ -468,13 +468,6 @@ def test_exact_route_raises_for_the_lowest_non_finite_row():
     assert _refusal(_zonal_abs_power_means, 3, rows[3:], 1.0, 1e-9) != expected
 
 
-def _whole_row_means(monkeypatch, n, rows):
-    # every row of up to 513 terms sampled whole, one colleague matrix each
-    with monkeypatch.context() as m:
-        m.setattr(_zonalseries, "_PIECE_DEGREE", 256)
-        return _exact_abs_means(n, rows, 1e-8)
-
-
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_pieces_agree_with_the_whole_row(monkeypatch, n):
     # rows of 66 to 512 terms at radii from decaying to not at all; the
@@ -486,7 +479,9 @@ def test_pieces_agree_with_the_whole_row(monkeypatch, n):
     ]
     rows.append(0.99 ** np.arange(280.0))
     pieces = np.array(_exact_abs_means(n, rows, 1e-8))
-    assert np.abs(pieces / _whole_row_means(monkeypatch, n, rows) - 1.0).max() <= 1e-12
+    # every row of up to 513 terms sampled whole, one colleague matrix each
+    monkeypatch.setattr(_zonalseries, "_PIECE_DEGREE", 256)
+    assert np.abs(pieces / _exact_abs_means(n, rows, 1e-8) - 1.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
