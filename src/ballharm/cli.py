@@ -18,6 +18,7 @@ failed (its report is still written), 2 usage or validation failure,
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -160,11 +161,16 @@ def build_parser():
     return parser
 
 
+# one parser per process: building it costs about a millisecond, and
+# in-process callers such as ``selftest`` call ``main`` repeatedly
+_parser = functools.cache(build_parser)
+
+
 def cmd_norm(args):
     f = load_expansion(args.input)
     params = SpaceParams(p=args.p, q=args.q, alpha=args.alpha, convention=args.convention)
     res = args.resolution or _default_sphere_res(f)
-    coarse, value = _mixed_norm_levels(f, params, args.radial_N, res)
+    coarse, value, fine_profile = _mixed_norm_levels(f, params, args.radial_N, res)
     _checked_norm_levels(coarse, value)
     delta = abs(value - coarse) / max(abs(value), 1e-300)
     values = {
@@ -173,7 +179,7 @@ def cmd_norm(args):
         "level_delta": delta,
     }
     if args.p == args.q:
-        direct = _direct_pnorm(f, params, args.radial_N * 2, res * 2)
+        direct = _direct_pnorm(f, params, args.radial_N * 2, res * 2, fine_profile)
         values["pq_direct_norm"] = direct
         values["pq_consistency"] = abs(value - direct) / max(abs(value), 1e-300)
     report = reports.envelope(
@@ -348,9 +354,8 @@ def cmd_selftest(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return EXIT_USAGE if exc.code not in (0, None) else 0
     handlers = {

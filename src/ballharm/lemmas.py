@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, UsageError
@@ -101,6 +100,26 @@ def _poisson_convolution(g, direction):
 # ---------------------------------------------------------------------------
 
 
+def _nnls2(design, rhs):
+    """argmin ||design @ c - rhs|| over c >= 0, for a design of two columns
+    (Lawson & Hanson, Solving Least Squares Problems, ch. 23).  The optimum
+    is the least-squares solution on its support: the unconstrained one
+    when that is feasible, else the feasible one of the supports {1} and
+    {2} with the least residual, else zero."""
+    best, best_res = np.zeros(2), np.linalg.norm(rhs)
+    for cols in ((0, 1), (0,), (1,)):
+        coef = np.zeros(2)
+        coef[list(cols)] = np.linalg.lstsq(design[:, cols], rhs, rcond=None)[0]
+        if np.any(coef < 0.0):
+            continue
+        if len(cols) == 2:
+            return coef
+        res = np.linalg.norm(design @ coef - rhs)
+        if res < best_res:
+            best, best_res = coef, res
+    return best
+
+
 def check_lemma1(n, beta, grid=None, slack=1.05):
     """Fit (C1, C2) for the two-term kernel bound on a coarse grid, verify
     no violation beyond the slack factor on a 4x finer grid, and check that
@@ -136,7 +155,7 @@ def check_lemma1(n, beta, grid=None, slack=1.05):
 
     lhs, t1, t2 = assemble(radii, cosines)
     design = np.stack([t1, t2], axis=1)
-    coef, _ = nnls(design, lhs)
+    coef = _nnls2(design, lhs)
     c1, c2 = float(coef[0]), float(coef[1])
     # scale up so the coarse grid is dominated, then validate on the fine grid
     bound = c1 * t1 + c2 * t2

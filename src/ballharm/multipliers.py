@@ -28,8 +28,9 @@ Two independent procedures are provided and cross-checked:
 Both read one growth function per (n, m, family, rtol), kept for the life
 of the process (``_growth_curve``): each I(s) is computed once, at s itself.
 ``condition2_sup`` reads those values at its grid radii; the qm-kernel
-probe reads a log-log spline through them, built once per ladder depth,
-and reads its radii below the ladder at s itself.
+probe reads a log-log not-a-knot cubic spline through them
+(``_not_a_knot_spline``), built once per ladder depth, and reads its
+radii below the ladder at s itself.
 
 The curve computes the I(s) it lacks in one ``_growth_integrals`` call,
 which picks one of two routes per radius from the input alone.  The named
@@ -54,7 +55,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import AccuracyError, DomainError, UsageError
 from .expansion import (
@@ -456,11 +456,94 @@ def _growth_integrals(n, m, family, radii, rtol=1e-7):
     return out
 
 
+def _tridiagonal_solve(lower, diag, upper, rhs):
+    """Solution of the tridiagonal system with sub-, main and
+    super-diagonals ``lower``, ``diag``, ``upper`` and right side ``rhs``
+    (lists of floats, overwritten): Gaussian elimination with row
+    interchanges, then back substitution, in the operation order of
+    LAPACK's dgtsv for one right side, so the bits are its bits."""
+    n = len(diag)
+    for i in range(n - 1):
+        if abs(diag[i]) >= abs(lower[i]):
+            fact = lower[i] / diag[i]
+            diag[i + 1] = diag[i + 1] - fact * upper[i]
+            rhs[i + 1] = rhs[i + 1] - fact * rhs[i]
+            lower[i] = 0.0
+        else:
+            # rows i and i + 1 swap; row i gains a second super-diagonal
+            # entry, kept in lower[i]
+            fact = diag[i] / lower[i]
+            diag[i] = lower[i]
+            temp = diag[i + 1]
+            diag[i + 1] = upper[i] - fact * temp
+            if i < n - 2:
+                lower[i] = upper[i + 1]
+                upper[i + 1] = -fact * lower[i]
+            upper[i] = temp
+            rhs[i], rhs[i + 1] = rhs[i + 1], rhs[i] - fact * rhs[i + 1]
+    rhs[n - 1] = rhs[n - 1] / diag[n - 1]
+    rhs[n - 2] = (rhs[n - 2] - upper[n - 2] * rhs[n - 1]) / diag[n - 2]
+    for i in range(n - 3, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1] - lower[i] * rhs[i + 2]) / diag[i]
+    return rhs
+
+
+def _not_a_knot_spline(x, y):
+    """The not-a-knot cubic spline through (x, y), for at least 4 strictly
+    increasing knots x (de Boor, A Practical Guide to Splines, ch. IV), as
+    a (5, len(x) - 1) table: column i holds the left knot x_i and the
+    coefficients of the cubic on [x_i, x_i+1] in powers of h = x - x_i,
+    constant term first.
+
+    The knot slopes solve the tridiagonal system with scipy's
+    ``CubicSpline`` rows, end rows and Hermite coefficients, in its
+    operation order, so the coefficients are its bits."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = x.size
+    lower, diag, upper, rhs = np.empty(n - 1), np.empty(n), np.empty(n - 1), np.empty(n)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x_1 and x_n-2
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = np.array(_tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()))
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack([x[:-1], y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx])
+
+
+def _spline_values(table, at):
+    """The ``_not_a_knot_spline`` table's piecewise cubic at the points
+    ``at``, extrapolating the end cubics.  The terms are summed in scipy's
+    ``PPoly`` order, c0 + c1 h, then + c2 h^2, then + c3 (h^2 h), so the
+    values are its bits."""
+    i = table[0, 1:].searchsorted(at, "right")
+    x0, c0, c1, c2, c3 = table.take(i, axis=1)
+    h = at - x0
+    h2 = h * h
+    out = c1 * h
+    out += c0
+    c2 *= h2
+    out += c2
+    h2 *= h
+    h2 *= c3
+    out += h2
+    return out
+
+
 class _GrowthCurve:
     """I(s) for one (n, m, family, rtol), each computed once, at s itself.
-    ``at`` reads a smooth log-log interpolant through the ladder
-    1 - s = 2^-j (j = 0.25..1.75 by quarters, then 2..J by halves), built
-    once per depth J, and reads radii below the ladder at s itself."""
+    ``at`` reads the not-a-knot cubic spline of log I against
+    -log(1 - s) through the ladder 1 - s = 2^-j (j = 0.25..1.75 by
+    quarters, then 2..J by halves), built once per depth J, or the linear
+    interpolant when some ladder value is not positive; it reads radii
+    below the ladder at s itself."""
 
     def __init__(self, n, m, family, rtol):
         self.n, self.m, self.family, self.rtol = n, m, family, rtol
@@ -484,22 +567,28 @@ class _GrowthCurve:
     def at(self, s, j_deepest):
         """I(s), interpolated through the ladder up to depth j_deepest."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        js = np.concatenate([np.arange(0.25, 2.0, 0.25), np.arange(2.0, j_deepest + 1e-9, 0.5)])
-        s_nodes = 1.0 - 2.0 ** (-js)
-        low = s < s_nodes[0]
-        values = self._fill(np.concatenate([s_nodes, s[low]]))
         if j_deepest not in self._ladders:
+            js = np.concatenate(
+                [np.arange(0.25, 2.0, 0.25), np.arange(2.0, j_deepest + 1e-9, 0.5)]
+            )
+            s_nodes = 1.0 - 2.0 ** (-js)
+            # a new depth's nodes and the radii below the ladder share one fill
+            values = self._fill(np.concatenate([s_nodes, s[s < s_nodes[0]]]))
             xi = -np.log1p(-s_nodes)
             ladder = np.array(values[: s_nodes.size])
             # log-log spline unless some value is not positive
-            spline = CubicSpline(xi, np.log(ladder)) if np.all(ladder > 0.0) else None
-            self._ladders[j_deepest] = (xi, ladder, spline)
-        xi, ladder, spline = self._ladders[j_deepest]
+            table = _not_a_knot_spline(xi, np.log(ladder)) if np.all(ladder > 0.0) else None
+            self._ladders[j_deepest] = (s_nodes[0], xi, ladder, table)
+        s_low, xi, ladder, table = self._ladders[j_deepest]
+        low = s < s_low
         out = np.empty_like(s)
-        out[low] = values[s_nodes.size :]
+        out[low] = self._fill(s[low])
         if np.any(~low):
             x = -np.log1p(-s[~low])
-            out[~low] = np.exp(spline(x)) if spline is not None else np.interp(x, xi, ladder)
+            if table is None:
+                out[~low] = np.interp(x, xi, ladder)
+            else:
+                out[~low] = np.exp(_spline_values(table, x))
         return out
 
 

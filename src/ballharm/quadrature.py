@@ -227,10 +227,15 @@ def _power_profile(f, q, radii, rule):
     return np.array([(rule.weights * np.abs(v) ** q).sum() for v in values])
 
 
+def _q_roots(profile, q):
+    """M_q from the profile int |f(r x')|^q dx'.  The root is taken in
+    scalar arithmetic: numpy's vector power rounds differently."""
+    return np.array([v ** (1.0 / q) for v in profile.tolist()])
+
+
 def _q_means(f, q, radii, rule):
-    """M_q(f, r) at each radius.  The root is taken in scalar arithmetic:
-    numpy's vector power rounds differently."""
-    return np.array([v ** (1.0 / q) for v in _power_profile(f, q, radii, rule).tolist()])
+    """M_q(f, r) at each radius."""
+    return _q_roots(_power_profile(f, q, radii, rule), q)
 
 
 def _sphere_rule_for(f, resolution):
@@ -266,23 +271,30 @@ def _default_sphere_res(f):
 
 
 def _mixed_norm_levels(f, params, radial_N, sphere_res):
-    """(coarse, fine) mixed-norm values at consecutive refinement levels:
-    ( int_0^1 M_q(f, r)^p w(r) r^(n-1) dr )^(1/p) on each level."""
+    """(coarse, fine, fine profile): the mixed-norm values at consecutive
+    refinement levels, ( int_0^1 M_q(f, r)^p w(r) r^(n-1) dr )^(1/p) on
+    each, and the fine level's ``_power_profile``, which is the direct
+    p-norm's at the same level when p = q."""
 
     def level(N, res):
         rule = radial_rule(params.radial_weight_exponent, N)
         r = rule.nodes
-        means = _q_means(f, params.q, r, _sphere_rule_for(f, res))
+        profile = _power_profile(f, params.q, r, _sphere_rule_for(f, res))
+        means = _q_roots(profile, params.q)
         integrand = means**params.p * params.radial_extra_factor(r) * r ** (f.dim - 1)
-        return float((rule.weights * integrand).sum()) ** (1.0 / params.p)
+        return float((rule.weights * integrand).sum()) ** (1.0 / params.p), profile
 
-    return level(radial_N, sphere_res), level(2 * radial_N, 2 * sphere_res)
+    coarse, _ = level(radial_N, sphere_res)
+    return (coarse, *level(2 * radial_N, 2 * sphere_res))
 
 
-def _direct_pnorm(f, params, radial_N, res):
-    """Direct double-integral norm of the weighted p-space (p = q)."""
+def _direct_pnorm(f, params, radial_N, res, inners=None):
+    """Direct double-integral norm of the weighted p-space (p = q).
+    ``inners`` is the ``_power_profile`` at this level's radial nodes when
+    the caller has it already."""
     rule = radial_rule(params.radial_weight_exponent, radial_N)
-    inners = _power_profile(f, params.p, rule.nodes, _sphere_rule_for(f, res))
+    if inners is None:
+        inners = _power_profile(f, params.p, rule.nodes, _sphere_rule_for(f, res))
     total = 0.0
     for r, w, inner in zip(rule.nodes, rule.weights, inners):
         total += w * inner * float(params.radial_extra_factor(r)) * r ** (f.dim - 1)
@@ -309,5 +321,5 @@ def mixed_norm(f, params, radial_N=48, sphere_res=None, accuracy_rtol=NORM_RTOL)
         raise DomainError(f"radial_N must be >= 1, got {radial_N}")
     if sphere_res is None:
         sphere_res = _default_sphere_res(f)
-    coarse, fine = _mixed_norm_levels(f, params, radial_N, sphere_res)
+    coarse, fine, _ = _mixed_norm_levels(f, params, radial_N, sphere_res)
     return _checked_norm_levels(coarse, fine, accuracy_rtol)

@@ -28,6 +28,9 @@ All functions are pure and accept either scalars or numpy arrays in their
 import functools
 
 import numpy as np
+# roots_jacobi imports scipy.linalg on its first call (for eig_banded);
+# importing it here keeps that cost out of the first request
+import scipy.linalg  # noqa: F401
 from scipy.special import binom, gammaln, roots_jacobi
 
 from .errors import DomainError

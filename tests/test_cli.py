@@ -359,3 +359,81 @@ def test_package_runs_as_a_module():
                                        capture_output=True, text=True).returncode
     assert run("--help") == 0
     assert run("lemma", "--id", "7") == 2
+
+
+def test_norm_p_equals_q_integrates_each_radius_once(tmp_path, monkeypatch):
+    # the direct p-norm reads the fine level's profile: 48 coarse and 96
+    # fine radii, where it used to integrate the 96 fine ones again
+    from ballharm import quadrature
+
+    rows = []
+    real = quadrature._zonal_abs_power_means
+
+    def counted(dim, batch, power, rtol):
+        batch = list(batch)
+        rows.extend(batch)
+        return real(dim, batch, power, rtol)
+
+    monkeypatch.setattr(quadrature, "_zonal_abs_power_means", counted)
+    path = tmp_path / "zonal.json"
+    f = HarmonicExpansion(3, "zonal", [1.0, 0.5, -0.25, 0.125, -0.0625], pole=[0.0, 0.0, 1.0])
+    save_expansion(f, path)
+    out = tmp_path / "report.json"
+    assert main(["norm", "--p", "2", "--q", "2", "--alpha", "0.5", "--input", str(path),
+                 "--out", str(out)]) == 0
+    assert len(rows) == 144
+    assert reports.load_from(out)["values"]["pq_consistency"] <= 1e-10
+
+
+def test_one_parser_serves_consecutive_commands(const_file, capsys):
+    from ballharm import cli
+
+    commands = [
+        ["norm", "--input", const_file, "--p", "2", "--q", "2"],
+        ["kernel", "--dim", "3", "--eval-r", "0.5", "--eval-t", "0.25"],
+        ["lemma", "--id", "4"],
+        ["mult-check", "--alpha", "0.5", "--beta", "0.25", "--rho-levels", "5"],
+        ["lemma", "--id", "2", "--alpha", "0.25"],
+    ]
+
+    def run(argv):
+        # every report goes to stdout
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    parser = cli._parser()
+    shared = [run(argv) for argv in commands]
+    assert shared == fresh
+    assert cli._parser() is parser
+    assert main(["norm", "--nope"]) == 2
+    assert main(["lemma", "--id", "4", "--beta", "nan"]) == 2
+    assert run(commands[2]) == fresh[2]
+
+
+def test_commands_load_no_interpolate_or_optimize(tmp_path):
+    # a command process imports scipy.special and scipy.linalg (the Jacobi
+    # rules need it); scipy.interpolate and scipy.optimize cost start-up
+    # time and memory and no command needs them
+    path = tmp_path / "zonal.json"
+    save_expansion(HarmonicExpansion(3, "zonal", [1.0, 0.5, -0.25], pole=[0.0, 0.0, 1.0]), path)
+    script = f"""
+import sys
+import ballharm
+assert "scipy.linalg" in sys.modules, "scipy.linalg"
+from ballharm.cli import main
+for argv in (["mult-check", "--alpha", "0.5", "--beta", "0.25", "--rho-levels", "5",
+              "--probe-family", "qm_kernels", "--out", {str(tmp_path / "mc.json")!r}],
+             ["lemma", "--id", "1", "--fast", "--out", {str(tmp_path / "l1.json")!r}],
+             ["norm", "--input", {str(path)!r}, "--p", "2", "--q", "2",
+              "--out", {str(tmp_path / "n.json")!r}],
+             ["selftest", "--fast", "--out", {str(tmp_path / "st.json")!r}]):
+    assert main(argv) == 0, argv
+print(sorted(m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ballharm import lemmas
 from ballharm import (
     DomainError,
     HarmonicExpansion,
@@ -42,6 +44,62 @@ def test_lemma1_scaling_absorbed_by_constants():
 def test_lemma1_domain():
     with pytest.raises(DomainError):
         check_lemma1(2, -1.5)
+
+
+def _exact_nnls2(design, rhs):
+    """Brute force in exact rational arithmetic on the float entries: the
+    least-squares solution on each of the supports {1, 2}, {1}, {2} and
+    {}, and the feasible one with the least residual."""
+    a = [[Fraction(float(v)) for v in col] for col in design.T]
+    b = [Fraction(float(v)) for v in rhs]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    g11, g12, g22 = dot(a[0], a[0]), dot(a[0], a[1]), dot(a[1], a[1])
+    h1, h2 = dot(a[0], b), dot(a[1], b)
+    det = g11 * g22 - g12 * g12
+    candidates = [
+        ((h1 * g22 - h2 * g12) / det, (g11 * h2 - g12 * h1) / det),
+        (h1 / g11, Fraction(0)),
+        (Fraction(0), h2 / g22),
+        (Fraction(0), Fraction(0)),
+    ]
+
+    def residual(c):
+        return sum((c[0] * x + c[1] * y - z) ** 2 for x, y, z in zip(a[0], a[1], b))
+
+    return min((c for c in candidates if min(c) >= 0), key=residual)
+
+
+def _assert_nnls2_matches_brute_force(design, rhs, rel):
+    got = lemmas._nnls2(design, rhs)
+    exact = _exact_nnls2(design, rhs)
+    for g, e in zip(got.tolist(), exact):
+        assert (g == 0.0) == (e == 0)
+        assert g == pytest.approx(float(e), rel=rel)
+    return tuple(v > 0.0 for v in got)
+
+
+def test_nnls2_matches_brute_force_on_random_designs():
+    rng = np.random.default_rng(25)
+    supports = set()
+    for _ in range(200):
+        rows = int(rng.integers(2, 30))
+        design = rng.standard_normal((rows, 2)) * 10.0 ** rng.uniform(-2.0, 2.0, 2)
+        rhs = rng.standard_normal(rows)
+        supports.add(_assert_nnls2_matches_brute_force(design, rhs, 1e-9))
+    assert supports == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("n,beta", [(2, 1.0), (2, 2.0), (3, 0.5), (3, 1.0), (3, 2.0)])
+def test_nnls2_matches_brute_force_on_lemma1_designs(n, beta, monkeypatch):
+    designs = []
+    real = lemmas._nnls2
+    monkeypatch.setattr(lemmas, "_nnls2", lambda d, b: designs.append((d, b)) or real(d, b))
+    check_lemma1(n, beta)
+    [(design, rhs)] = designs
+    _assert_nnls2_matches_brute_force(design, rhs, 1e-12)
 
 
 # ---------------------------------------------------------------------------

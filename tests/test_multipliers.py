@@ -679,6 +679,72 @@ def test_growth_curve_fill_takes_at_most_a_chunk_per_loop(monkeypatch):
     assert len(batches) >= 3
 
 
+# ---------------------------------------------------------------------------
+# the log-log ladder spline
+# ---------------------------------------------------------------------------
+
+_SCIPY_BUILD = pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="bit equality with scipy was checked with numpy 2.4.6 and scipy 1.17.1",
+)
+
+
+def _assert_scipy_spline_bits(x, y, at):
+    from scipy.interpolate import CubicSpline
+
+    reference = CubicSpline(x, y)
+    table = multipliers._not_a_knot_spline(x, y)
+    assert table[0].tobytes() == x[:-1].tobytes()
+    assert table[1:].tobytes() == reference.c[::-1].tobytes()
+    assert multipliers._spline_values(table, at).tobytes() == reference(at).tobytes()
+
+
+@_SCIPY_BUILD
+@pytest.mark.parametrize("family", ["ones", "powerlaw:0.5"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_ladder_spline_has_cubicspline_bits(n, family):
+    # every ladder ``at`` builds for J = 2..14, read at a probe's radii
+    curve = multipliers._GrowthCurve(n, 2.0, multiplier_family(family), 1e-7)
+    for J in range(2, 15):
+        s = radial_rule(-0.5, 96).nodes * (1.0 - 2.0**-J)
+        values = curve.at(s, J)
+        s_low, xi, ladder, table = curve._ladders[J]
+        _assert_scipy_spline_bits(xi, np.log(ladder), -np.log1p(-s))
+        high = s >= s_low
+        spline = multipliers._spline_values(table, -np.log1p(-s[high]))
+        assert values[high].tobytes() == np.exp(spline).tobytes()
+
+
+@_SCIPY_BUILD
+def test_spline_has_cubicspline_bits_on_grids_that_pivot():
+    # knot gaps spread over four decades make the elimination swap rows
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        x = np.cumsum(10.0 ** rng.uniform(-2.0, 2.0, rng.integers(4, 40)))
+        y = rng.standard_normal(x.size) * 10.0 ** rng.uniform(-3.0, 3.0)
+        _assert_scipy_spline_bits(x, y, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200))
+
+
+@_SCIPY_BUILD
+def test_tridiagonal_solve_has_lapack_bits_with_and_without_row_swaps():
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(7)
+    swaps = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 30))
+        lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        diag, rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0), rng.standard_normal(n)
+        # the first elimination step swaps rows when |diag[0]| < |lower[0]|
+        swaps += abs(diag[0]) < abs(lower[0])
+        banded = np.zeros((3, n))
+        banded[0, 1:], banded[1], banded[2, :-1] = upper, diag, lower
+        expected = solve_banded((1, 1), banded, rhs)
+        lists = (a.tolist() for a in (lower, diag, upper, rhs))
+        assert np.array(multipliers._tridiagonal_solve(*lists)).tobytes() == expected.tobytes()
+    assert 50 < swaps < 250
+
+
 def test_sequence_family_padding_is_zero():
     fam = _family_from_values(np.array([1.0, 2.0]))
     assert fam.values(4).tolist() == [1.0, 2.0, 0.0, 0.0, 0.0]

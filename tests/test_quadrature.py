@@ -359,8 +359,8 @@ def test_mixed_norm_homogeneous():
     from ballharm.quadrature import _mixed_norm_levels
 
     params1 = SpaceParams(p=1.0, q=1.0, alpha=0.5)
-    _, va = _mixed_norm_levels(f, params1, 48, 16)
-    _, vb = _mixed_norm_levels(g, params1, 48, 16)
+    _, va, _ = _mixed_norm_levels(f, params1, 48, 16)
+    _, vb, _ = _mixed_norm_levels(g, params1, 48, 16)
     assert vb == pytest.approx(2.0 * va, rel=1e-12)
 
 
