@@ -593,15 +593,11 @@ def _means_in_one_loop(dim, rows, power, rtol, ahead):
     if live.size == 0:
         return out
     lam = (dim - 2) / 2.0
-    if live.size == 1:
-        w1 = w[live[0]]
-        G = lambda theta, owner: _series_sum(w1, lam, np.cos(theta))
-    else:
-        # one panel per column, so each term's weights are one row
-        wt = np.ascontiguousarray(w[live].T)
-        G = lambda theta, owner: np.ascontiguousarray(
-            _series_sum(wt, lam, np.ascontiguousarray(np.cos(theta).T), owner).T
-        )
+    # one panel per column, so each term's weights are one row
+    wt = np.ascontiguousarray(w[live].T)
+    G = lambda theta, owner: np.ascontiguousarray(
+        _series_sum(wt, lam, np.ascontiguousarray(np.cos(theta).T), owner).T
+    )
     values = _abs_power_mean(dim, G, deltas[live].tolist(), power, rtol, ahead)
     for i, value in zip(live.tolist(), values):
         out[i] = value

@@ -28,6 +28,7 @@ suites; estimates (1, 2, 5) are checked by constant/exponent fitting on
 deterministic grids.  Default seed 1789, recorded in every report.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +81,28 @@ class LemmaReport:
 def _random_full(n, degree, rng):
     blocks = [rng.standard_normal(sph_dim(n, k)) for k in range(degree + 1)]
     return HarmonicExpansion(n, "full", blocks)
+
+
+def _worst_mismatch(n, mismatch, f, g, r, direction, tuples, degree, seed, r_max):
+    """The relative mismatch of lemma 3 or 6, ``mismatch(deg)(f, g, y, r)``
+    with rules sized for degree deg, at an explicit (f, g, r, direction),
+    or its largest over a seeded suite of ``tuples`` random tuples of
+    degree ``degree``, with r uniform in [0.2, r_max)."""
+    if f is not None:
+        if g is None or r is None or direction is None:
+            raise UsageError("explicit mode needs f, g, r and direction together")
+        return mismatch(max(f.max_degree, g.max_degree))(f, g, direction, r)
+    rng = np.random.default_rng(seed)
+    at = mismatch(degree)
+    worst = 0.0
+    for _ in range(tuples):
+        ft = _random_full(n, degree, rng)
+        gt = _random_full(n, degree, rng)
+        y = rng.standard_normal(n)
+        y /= np.linalg.norm(y)
+        rt = rng.uniform(0.2, r_max)
+        worst = max(worst, at(ft, gt, y, rt))
+    return worst
 
 
 def _sphere_pairing(u, v, radii, rule):
@@ -272,24 +295,11 @@ def check_lemma3(n, f=None, g=None, r=None, direction=None, tuples=20,
         raise UsageError("explicit bases exist for n in {2, 3}")
     if degree > 12:
         raise UsageError("default sphere rules cover degrees up to 12 here")
+    mismatch = lambda deg: functools.partial(_pairing_mismatch, n, rule=sphere_rule(n, 2 * deg + 4))
+    worst = _worst_mismatch(n, mismatch, f, g, r, direction, tuples, degree, seed, 0.9)
     if f is not None:
-        if g is None or r is None or direction is None:
-            raise UsageError("explicit mode needs f, g, r and direction together")
-        deg = max(f.max_degree, g.max_degree)
-        rule = sphere_rule(n, 2 * deg + 4)
-        worst = _pairing_mismatch(n, f, g, direction, r, rule)
         grid = f"n={n}, single explicit tuple, degrees ({f.max_degree}, {g.max_degree})"
     else:
-        rng = np.random.default_rng(seed)
-        rule = sphere_rule(n, 2 * degree + 4)
-        worst = 0.0
-        for _ in range(tuples):
-            ft = _random_full(n, degree, rng)
-            gt = _random_full(n, degree, rng)
-            y = rng.standard_normal(n)
-            y /= np.linalg.norm(y)
-            rt = rng.uniform(0.2, 0.9)
-            worst = max(worst, _pairing_mismatch(n, ft, gt, y, rt, rule))
         grid = f"n={n}, {tuples} seeded tuples, degree<={degree}, seed={seed}"
     return LemmaReport(
         lemma_id=3,
@@ -444,26 +454,14 @@ def check_lemma6(n, f=None, g=None, r=None, direction=None, m=2, tuples=20,
         raise UsageError("rules sized for degrees up to 10")
     if int(m) != m or m < 1:
         raise DomainError(f"m must be a positive integer, got {m}")
+    mismatch = lambda deg: functools.partial(
+        _ball_pairing_mismatch, n, m, rule=sphere_rule(n, 2 * deg + 4),
+        radial=radial_rule(0.0, _capped_rule_size(deg + m + n + 2)),
+    )
+    worst = _worst_mismatch(n, mismatch, f, g, r, direction, tuples, degree, seed, 0.85)
     if f is not None:
-        if g is None or r is None or direction is None:
-            raise UsageError("explicit mode needs f, g, r and direction together")
-        deg = max(f.max_degree, g.max_degree)
-        rule = sphere_rule(n, 2 * deg + 4)
-        radial = radial_rule(0.0, _capped_rule_size(deg + m + n + 2))
-        worst = _ball_pairing_mismatch(n, m, f, g, direction, r, rule, radial)
         grid = f"n={n}, m={m}, single explicit tuple"
     else:
-        rng = np.random.default_rng(seed)
-        rule = sphere_rule(n, 2 * degree + 4)
-        radial = radial_rule(0.0, _capped_rule_size(degree + m + n + 2))
-        worst = 0.0
-        for _ in range(tuples):
-            ft = _random_full(n, degree, rng)
-            gt = _random_full(n, degree, rng)
-            y = rng.standard_normal(n)
-            y /= np.linalg.norm(y)
-            rt = rng.uniform(0.2, 0.85)
-            worst = max(worst, _ball_pairing_mismatch(n, m, ft, gt, y, rt, rule, radial))
         grid = f"n={n}, m={m}, {tuples} seeded tuples, degree<={degree}, seed={seed}"
     return LemmaReport(
         lemma_id=6,

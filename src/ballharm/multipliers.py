@@ -39,9 +39,10 @@ kernel, which ``_growth_kernel`` returns for this route and for lemma 1:
 Taylor ("jet") arithmetic on the m+1-th derivative of the Poisson kernel
 for ``ones``, and for ``powerlaw:t`` a mixture of those kernels at s e^-u
 under a graded u-rule.  It costs the same at any depth, so it takes
-every I(s) whose series would need more than ``_AHEAD_TERMS`` terms, grid
-levels j = 11..14 past the series' degree cap among them.  All else sums
-the truncated zonal series, batched as ``_zonalseries`` sets out.
+every I(s) whose series would need more than ``_CLOSED_TERMS`` terms, grid
+levels j = 11..14 past the series' degree cap among them, one adaptive
+loop per radius.  All else sums the truncated zonal series, batched as
+``_zonalseries`` sets out.
 
 Boundedness decisions use fixed documented thresholds: the criterion slope
 threshold 0.02 with a 1% non-increase test on the last three Phi values,
@@ -67,7 +68,7 @@ from .expansion import (
 )
 from .quadrature import _settle_by_doubling, _zonal_power_profile, radial_rule, sphere_rule
 from .specfun import _gauss_jacobi, _log_lambda_coeff, _sph_dim_array
-from ._zonalseries import _AHEAD_TERMS, _abs_power_mean, _zonal_abs_power_means, zonal_series_values
+from ._zonalseries import _abs_power_mean, _zonal_abs_power_means, zonal_series_values
 
 __all__ = [
     "TheoremParams",
@@ -88,6 +89,9 @@ PHI_TAIL_RATIO = 1.01
 PROBE_SLOPE_UNBOUNDED = 0.05
 
 _SERIES_DEGREE_CAP = 500_000
+# growth series of more terms than this take the closed-form kernel where
+# the family has one; a power of two, as a ``_series_degrees`` cap must be
+_CLOSED_TERMS = 256
 # first mesh panel of a closed-form growth integral, in units of 1 - s,
 # and the share of rtol its adaptive loop asks for: the kernel is cheap,
 # and at rtol itself the kinks of |G| at its zeros leave errors up to
@@ -401,37 +405,21 @@ def _growth_series(n, m, family, s, K):
     return np.exp(_log_lambda_coeff(n, k, m) + k * math.log(s)) * family.values(K)
 
 
-def _closed_integrals(n, m, family, radii, rtol):
-    """I(s) at each of ``radii`` by the closed-form kernel, in one adaptive
-    loop whose G(theta, owner) evaluates each owner's kernel."""
-    kernels = [_growth_kernel(n, m, family, s) for s in radii]
-
-    def G(theta, owner):
-        values = np.empty_like(theta)
-        for i in np.unique(owner).tolist():
-            values[owner == i] = kernels[i](theta[owner == i])
-        return values
-
-    # the peak of G has angular width about 1 - s
-    deltas = [_CLOSED_MESH * (1.0 - s) for s in radii]
-    return _abs_power_mean(n, G, deltas, 1.0, _CLOSED_RTOL * rtol)
-
-
 def _growth_integrals(n, m, family, radii, rtol=1e-7):
     """I(s), the normalized sphere integral of |sum_k gamma_k c_k s^k Z_k|,
     at each of ``radii``, with the bits of each radius alone; the first
     failing radius raises.  One degree search per radius picks its route:
     ``ones`` and ``powerlaw:t`` at integer m >= 0 take the closed-form
-    kernel wherever the series would need more than ``_AHEAD_TERMS``
+    kernel wherever the series would need more than ``_CLOSED_TERMS``
     terms, where their search stops; all else sums the series truncated
     at the full search's degree.  Consecutive series-route radii go to
-    ``_zonal_abs_power_means`` as rows; consecutive closed-route radii
-    share one adaptive loop, at ``_CLOSED_RTOL`` times rtol.
+    ``_zonal_abs_power_means`` as rows; each closed-route radius takes an
+    adaptive loop of its own, at ``_CLOSED_RTOL`` times rtol.
     """
     c0 = float(family.values(0)[0])
     gamma0 = math.exp(_log_lambda_coeff(n, np.array(0.0), m))
     closed = _has_closed_kernel(m, family)
-    degree = _series_degrees(n, m, family, rtol, _AHEAD_TERMS if closed else _SERIES_DEGREE_CAP)
+    degree = _series_degrees(n, m, family, rtol, _CLOSED_TERMS if closed else _SERIES_DEGREE_CAP)
     # (route, s, K) per radius, up to a radius whose degree search refuses
     routes, refusal = [], None
     for s in radii:
@@ -447,7 +435,10 @@ def _growth_integrals(n, m, family, radii, rtol=1e-7):
         if route == "zero":
             out += [abs(c0) * gamma0] * len(run)
         elif route == "closed":
-            out += _closed_integrals(n, m, family, [s for s, _ in run], rtol)
+            # the peak of G has angular width about 1 - s
+            for s, _ in run:
+                G, delta = _growth_kernel(n, m, family, s), _CLOSED_MESH * (1.0 - s)
+                out += _abs_power_mean(n, lambda theta, _: G(theta), [delta], 1.0, _CLOSED_RTOL * rtol)
         else:
             rows = (_growth_series(n, m, family, s, K) for s, K in run)
             out += _zonal_abs_power_means(n, rows, 1.0, rtol)
@@ -459,28 +450,15 @@ def _growth_integrals(n, m, family, radii, rtol=1e-7):
 def _tridiagonal_solve(lower, diag, upper, rhs):
     """Solution of the tridiagonal system with sub-, main and
     super-diagonals ``lower``, ``diag``, ``upper`` and right side ``rhs``
-    (lists of floats, overwritten): Gaussian elimination with row
-    interchanges, then back substitution, in the operation order of
-    LAPACK's dgtsv for one right side, so the bits are its bits."""
+    (lists of floats, overwritten), which must need no row interchange:
+    LAPACK dgtsv's elimination and back substitution for one right side,
+    in its operation order, so the bits are its bits."""
     n = len(diag)
     for i in range(n - 1):
-        if abs(diag[i]) >= abs(lower[i]):
-            fact = lower[i] / diag[i]
-            diag[i + 1] = diag[i + 1] - fact * upper[i]
-            rhs[i + 1] = rhs[i + 1] - fact * rhs[i]
-            lower[i] = 0.0
-        else:
-            # rows i and i + 1 swap; row i gains a second super-diagonal
-            # entry, kept in lower[i]
-            fact = diag[i] / lower[i]
-            diag[i] = lower[i]
-            temp = diag[i + 1]
-            diag[i + 1] = upper[i] - fact * temp
-            if i < n - 2:
-                lower[i] = upper[i + 1]
-                upper[i + 1] = -fact * lower[i]
-            upper[i] = temp
-            rhs[i], rhs[i + 1] = rhs[i + 1], rhs[i] - fact * rhs[i + 1]
+        fact = lower[i] / diag[i]
+        diag[i + 1] = diag[i + 1] - fact * upper[i]
+        rhs[i + 1] = rhs[i + 1] - fact * rhs[i]
+        lower[i] = 0.0
     rhs[n - 1] = rhs[n - 1] / diag[n - 1]
     rhs[n - 2] = (rhs[n - 2] - upper[n - 2] * rhs[n - 1]) / diag[n - 2]
     for i in range(n - 3, -1, -1):
@@ -497,7 +475,9 @@ def _not_a_knot_spline(x, y):
 
     The knot slopes solve the tridiagonal system with scipy's
     ``CubicSpline`` rows, end rows and Hermite coefficients, in its
-    operation order, so the coefficients are its bits."""
+    operation order, so the coefficients are its bits.  A ladder's system
+    needs no row interchange: |diag[0]| = |lower[0]| = dx[1] is a tie,
+    which dgtsv takes without one, and every later pivot dominates."""
     dx = np.diff(x)
     slope = np.diff(y) / dx
     n = x.size
@@ -549,10 +529,6 @@ class _GrowthCurve:
         self.n, self.m, self.family, self.rtol = n, m, family, rtol
         self._exact = {}
         self._ladders = {}
-
-    def exact(self, s):
-        """I(s) computed at s itself, not interpolated."""
-        return self._fill([s])[0]
 
     def _fill(self, radii):
         """I(s) at each of ``radii``, computing the ones not yet cached in
@@ -704,7 +680,7 @@ def condition2_integral(g, params, rho, direction=None, resolution=None, rtol=1e
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     fam = _coerce_zonal_family(g)
     if fam is not None:
-        return _growth_curve(params.dim, params.m, fam, rtol).exact(rho)
+        return _growth_curve(params.dim, params.m, fam, rtol)._fill([rho])[0]
     if params.dim not in (2, 3):
         raise DomainError("full-kind multipliers are supported for dim 2 and 3")
     if direction is None:

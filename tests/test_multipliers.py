@@ -19,11 +19,17 @@ from ballharm import (
     sph_dim,
 )
 from ballharm import multipliers
-from ballharm.multipliers import _CURVE_CACHE, _direction_design, _family_from_values, _fit_window
+from ballharm.multipliers import (
+    _CLOSED_TERMS,
+    _CURVE_CACHE,
+    _direction_design,
+    _family_from_values,
+    _fit_window,
+)
 from ballharm.expansion import _basis_matrix
 from ballharm import _zonalseries
 from ballharm.quadrature import radial_rule, sphere_rule
-from ballharm._zonalseries import _AHEAD_TERMS, _PROFILE_CHUNK, zonal_series_values
+from ballharm._zonalseries import _PROFILE_CHUNK, zonal_series_values
 from ballharm.specfun import _log_lambda_coeff, lambda_coeff
 
 
@@ -84,11 +90,11 @@ def test_family_parsing():
 )
 def test_growth_integral_series_degree_pinned(family, j, expected):
     # the truncation degree of the full search at I(s)'s own tolerance,
-    # n = 3, m = 2; the route pick's search stops at _AHEAD_TERMS terms
+    # n = 3, m = 2; the route pick's search stops at _CLOSED_TERMS terms
     s = 1.0 - 2.0 ** (-j)
     fam = multiplier_family(family)
     assert multipliers._series_degrees(3, 2.0, fam)(s) == expected
-    assert multipliers._series_degrees(3, 2.0, fam, cap=_AHEAD_TERMS)(s) is None
+    assert multipliers._series_degrees(3, 2.0, fam, cap=_CLOSED_TERMS)(s) is None
 
 
 # theta = 0 and pi, an even grid, and a graded run into the peak at theta = 0
@@ -132,7 +138,7 @@ def _route(monkeypatch, n, m, family, s):
 @pytest.mark.parametrize(
     "family,m,j,route",
     [
-        # named families at integer m, beyond _AHEAD_TERMS series terms
+        # named families at integer m, beyond _CLOSED_TERMS series terms
         ("ones", 2.0, 8, "closed"),
         ("powerlaw:0.5", 3.0, 8, "closed"),
         ("powerlaw:0", 0.0, 8, "closed"),
@@ -160,19 +166,19 @@ _LADDER_J = [0.25 * i for i in range(1, 8)] + [0.5 * i for i in range(4, 29)]
 
 def _todays_route(n, m, family, s, closed):
     """The route rule of the full degree search: the closed kernel, where
-    the family has one, for K + 1 > _AHEAD_TERMS terms or a search past the
+    the family has one, for K + 1 > _CLOSED_TERMS terms or a search past the
     degree cap; else the series at the full search's K."""
     try:
         K = multipliers._series_degrees(n, m, family)(s)
     except AccuracyError as err:
         return ("closed",) if closed else ("refused", str(err))
-    return ("closed",) if closed and K + 1 > _AHEAD_TERMS else ("series", K)
+    return ("closed",) if closed and K + 1 > _CLOSED_TERMS else ("series", K)
 
 
 @pytest.mark.parametrize("family", ["ones", "powerlaw:0.5", "finite:300", "sequence"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_growth_route_is_the_full_search_rule(monkeypatch, n, family):
-    # the pick from a search stopped at _AHEAD_TERMS terms, at every ladder
+    # the pick from a search stopped at _CLOSED_TERMS terms, at every ladder
     # depth j = 0.25..14 and the orders of the closed and the series route
     if family == "sequence":
         fam = _family_from_values(np.cos(np.arange(300.0)))
@@ -198,7 +204,7 @@ def test_closed_route_builds_no_long_search_window():
     family = multipliers.ZonalFamily("ones", ("ones",), None, ones)
     [value] = multipliers._growth_integrals(3, 2.0, family, [1.0 - 2.0**-14])
     assert value == pytest.approx(6090064325234.604, rel=1e-7)  # test_growth_reference
-    assert max(windows) <= _AHEAD_TERMS
+    assert max(windows) <= _CLOSED_TERMS
 
 
 def test_series_route_past_the_degree_cap_refuses():
@@ -715,34 +721,61 @@ def test_ladder_spline_has_cubicspline_bits(n, family):
         assert values[high].tobytes() == np.exp(spline).tobytes()
 
 
-@_SCIPY_BUILD
-def test_spline_has_cubicspline_bits_on_grids_that_pivot():
-    # knot gaps spread over four decades make the elimination swap rows
-    rng = np.random.default_rng(25)
-    for _ in range(200):
-        x = np.cumsum(10.0 ** rng.uniform(-2.0, 2.0, rng.integers(4, 40)))
-        y = rng.standard_normal(x.size) * 10.0 ** rng.uniform(-3.0, 3.0)
-        _assert_scipy_spline_bits(x, y, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200))
+def _pivots(lower, diag, upper):
+    """The pivots of tridiagonal elimination without row interchange."""
+    pivots = [diag[0]]
+    for i in range(len(diag) - 1):
+        pivots.append(diag[i + 1] - lower[i] / pivots[i] * upper[i])
+    return pivots
+
+
+def test_ladder_systems_need_no_row_interchange(monkeypatch):
+    # the slope system of every ladder ``at`` builds, for depths J = 0.25
+    # to 30 by twentieths: the first step is a tie, |diag[0]| = |lower[0]|,
+    # which dgtsv takes without an interchange, and every later pivot
+    # dominates its row
+    systems, solve = [], multipliers._tridiagonal_solve
+
+    def recorded(lower, diag, upper, rhs):
+        systems.append((lower[:], diag[:], upper[:]))
+        return solve(lower, diag, upper, rhs)
+
+    monkeypatch.setattr(multipliers, "_tridiagonal_solve", recorded)
+    curve = multipliers._GrowthCurve(3, 2.0, multiplier_family("ones"), 1e-7)
+    monkeypatch.setattr(curve, "_fill", lambda radii: [1.0 + float(s) for s in radii])
+    depths = np.round(np.arange(0.25, 30.0 + 1e-9, 0.05), 2)
+    for J in depths:
+        curve.at(0.9, float(J))
+    assert len(systems) == depths.size
+    for lower, diag, upper in systems:
+        assert abs(diag[0]) == abs(lower[0])
+        pivots = _pivots(lower, diag, upper)
+        assert all(abs(p) > abs(low) for p, low in zip(pivots[1:], lower[1:]))
 
 
 @_SCIPY_BUILD
-def test_tridiagonal_solve_has_lapack_bits_with_and_without_row_swaps():
+def test_tridiagonal_solve_has_lapack_bits_without_row_swaps():
+    # random systems whose elimination needs no row interchange, a tie at
+    # the first step in half of them, as on a ladder
     from scipy.linalg import solve_banded
 
     rng = np.random.default_rng(7)
-    swaps = 0
-    for _ in range(300):
+    kept = 0
+    for trial in range(600):
         n = int(rng.integers(3, 30))
         lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
         diag, rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0), rng.standard_normal(n)
-        # the first elimination step swaps rows when |diag[0]| < |lower[0]|
-        swaps += abs(diag[0]) < abs(lower[0])
+        if trial % 2:
+            diag[0] = lower[0]
+        if any(abs(p) < abs(low) for p, low in zip(_pivots(lower, diag, upper), lower)):
+            continue
+        kept += 1
         banded = np.zeros((3, n))
         banded[0, 1:], banded[1], banded[2, :-1] = upper, diag, lower
         expected = solve_banded((1, 1), banded, rhs)
         lists = (a.tolist() for a in (lower, diag, upper, rhs))
         assert np.array(multipliers._tridiagonal_solve(*lists)).tobytes() == expected.tobytes()
-    assert 50 < swaps < 250
+    assert kept >= 100
 
 
 def test_sequence_family_padding_is_zero():

@@ -263,9 +263,9 @@ def test_deep_growth_integral_makes_few_series_calls(monkeypatch):
     zcoeffs = _growth_series(3, 2.0, 10)
     sizes = []
 
-    def counted(w, lam, t):
+    def counted(w, lam, t, cols=None):
         sizes.append(t.size)
-        return _series_sum(w, lam, t)
+        return _series_sum(w, lam, t, cols)
 
     monkeypatch.setattr(_zonalseries, "_series_sum", counted)
     zonal_abs_power_mean(3, zcoeffs, 1.0, 1e-7)
